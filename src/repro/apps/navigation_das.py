@@ -137,7 +137,15 @@ class NavigationEstimator(Job):
 
     # ------------------------------------------------------------------
     def on_step(self) -> None:
-        now = self.sim.now
+        branch = self._estimate(self.sim.now)
+        if branch == "snap":
+            self.gps_snaps += 1
+        elif branch == "dr":
+            self.dead_reckoning_steps += 1
+
+    def _estimate(self, now: int) -> str:
+        """Advance the estimate to ``now`` and log its error; returns
+        which branch ran (``snap``, ``dr`` or ``coast``)."""
         dt = 0.0 if self._last_step is None else (now - self._last_step) / 1e9
         self._last_step = now
 
@@ -149,22 +157,23 @@ class NavigationEstimator(Job):
             speed, yaw = v
             self.heading += yaw * dt
 
+        branch = "coast"  # no import, no fix — coast on the last estimate
         gps_port = self.port("msgGpsFix")
         fix, t_fix = gps_port.read()
         if fix is not None and t_fix is not None and now - t_fix <= self.gps_fresh_ns:
             self.x = from_cm(fix.get("Fix", "x"))
             self.y = from_cm(fix.get("Fix", "y"))
-            self.gps_snaps += 1
+            branch = "snap"
         elif v is not None and dt > 0.0:
             speed, _ = v
             self.x += speed * math.cos(self.heading) * dt
             self.y += speed * math.sin(self.heading) * dt
-            self.dead_reckoning_steps += 1
-        # else: no import, no fix — coast on the last estimate.
+            branch = "dr"
 
         truth = self.vehicle.state_at(now)
         err = math.hypot(self.x - truth.x, self.y - truth.y)
         self.errors.append((now, err))
+        return branch
 
     def _read_odometry(self) -> tuple[float, float] | None:
         """(speed m/s, yaw rad/s) from the imported wheel speeds."""
@@ -184,11 +193,12 @@ class NavigationEstimator(Job):
         return v, yaw
 
     # -- round-template support (see repro.sim.round_template) ---------
-    # The float estimate (x, y, heading, errors) is observational — not
-    # part of the scenario parity surface — so replayed spans may skip
-    # its updates.  What must stay exact are the branch counters below,
-    # whose per-step increments depend only on which branch of on_step
-    # runs: that branch is pinned by the fingerprint cells.
+    # The branch counters below advance by their per-round delta: which
+    # branch of on_step runs is pinned by the fingerprint cells.  The
+    # float estimate (x, y, heading, errors) is caught up step by step
+    # at the window instants the replay skipped: the ports it reads
+    # hold the same values throughout a replayed span, so the catch-up
+    # performs exactly the arithmetic the live steps would have.
     def rt_counters(self) -> dict[str, int]:
         c = super().rt_counters()
         c["snap"] = self.gps_snaps
@@ -196,6 +206,13 @@ class NavigationEstimator(Job):
         return c
 
     def rt_advance(self, delta: dict[str, int], k: int, prefix: str) -> None:
+        steps = delta[prefix + "act"] * k
+        if steps:
+            frame = self.partition.frame
+            last = self._last_step
+            assert frame is not None and last is not None
+            for i in range(1, steps + 1):
+                self._estimate(last + i * frame)
         super().rt_advance(delta, k, prefix)
         self.gps_snaps += delta[prefix + "snap"] * k
         self.dead_reckoning_steps += delta[prefix + "dr"] * k

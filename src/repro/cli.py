@@ -285,16 +285,10 @@ def _sweep_bench_compare(args: argparse.Namespace, specs) -> int:
     errors = any(report["errors"] for report in reports)
     cold_s = serial["wall_s"] if parallel is None else parallel["wall_s"]
 
-    def tpl_hits(report: dict) -> int:
-        return sum(1 for r in report["scenarios"]
-                   if r.get("template_cache", {}).get("hit"))
-
     section = {
         "scenarios": names,
         "cpu_count": cpu_count,
         "round_template": bool(args.round_template),
-        "template_hits_serial": tpl_hits(serial),
-        "template_hits_warm": tpl_hits(warm),
         "serial_s": serial["wall_s"],
         "parallel_s": None if parallel is None else parallel["wall_s"],
         "parallel_workers": None if parallel is None else parallel["workers"],
@@ -463,7 +457,10 @@ def _cmd_obs_bench_overhead(args: argparse.Namespace) -> int:
     def measure(label: str, **cfg_kwargs) -> float:
         best = float("inf")
         for _ in range(args.repeat):
-            car = build_car(CarConfig(seed=0, **cfg_kwargs))
+            # Event by event in every leg: flow tracing disables round
+            # templates, so replay would otherwise count as trace cost.
+            car = build_car(CarConfig(seed=0, round_template=False,
+                                      **cfg_kwargs))
             t0 = time.perf_counter()
             car.run_for(horizon)
             best = min(best, time.perf_counter() - t0)
@@ -930,24 +927,21 @@ def _cmd_campaign_bench(args: argparse.Namespace) -> int:
           f"({summary.rejection_rate:.0%} rejected)")
 
     with tempfile.TemporaryDirectory() as tmp:
-        # Warm-up (imports, first model build, template bank), then
-        # interleave the two legs so machine-state drift hits both
-        # equally — the measured ratio isolates the batched durability
-        # machinery (result cache + ledger), not the benchmark weather.
-        # The bare leg runs the same executions with no result cache
-        # and no ledger but the same (orthogonal, pre-existing)
-        # template-bank persistence; every leg repetition gets fresh
-        # directories so both start cold.
+        # Warm-up (imports, first model build), then interleave the two
+        # legs so machine-state drift hits both equally — the measured
+        # ratio isolates the batched durability machinery (result cache
+        # + ledger), not the benchmark weather.  The bare leg runs the
+        # same executions with no result cache and no ledger; every
+        # cached leg repetition gets a fresh directory so it starts
+        # cold.
         for spec in specs[:8]:
             run_scenario(spec, ledger_path=None)
         off_s = cold_s = float("inf")
         bare: list = []
         cold: dict = {}
         for rep in range(args.repeat):
-            bare_tpl = str(Path(tmp) / f"bare{rep}")
             t0 = time.perf_counter()
-            bare = [run_scenario(spec, template_root=bare_tpl,
-                                 ledger_path=None) for spec in specs]
+            bare = [run_scenario(spec) for spec in specs]
             off_s = min(off_s, time.perf_counter() - t0)
             runner = SweepRunner(workers=args.workers,
                                  cache_dir=str(Path(tmp) / f"cache{rep}"))
@@ -1048,53 +1042,36 @@ def _cmd_campaign_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or empty the sweep result + template + check caches."""
+    """Inspect or empty the sweep result + check caches."""
     import json
 
-    from .runner.cache import CheckCache, ResultCache, TemplateStore
+    from .runner.cache import CheckCache, ResultCache
 
     cache = ResultCache(args.cache_dir, max_bytes=args.max_bytes)
-    store = TemplateStore(args.cache_dir, max_bytes=args.max_bytes)
     checks = CheckCache(args.cache_dir, max_bytes=args.max_bytes)
     if args.cache_command == "clear":
-        if getattr(args, "templates", False):
-            removed = store.clear()
-            print(f"removed {removed} template bank"
-                  f"{'' if removed == 1 else 's'} from {store.root}")
-            return 0
         removed = cache.clear()
-        removed_tpl = store.clear()
         removed_chk = checks.clear()
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}, "
-              f"{removed_tpl} template bank"
-              f"{'' if removed_tpl == 1 else 's'}, and {removed_chk} check "
+        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
+              f"and {removed_chk} check "
               f"report{'' if removed_chk == 1 else 's'} from {args.cache_dir}")
         return 0
-    stats = {"results": cache.stats(), "templates": store.stats(),
-             "checks": checks.stats()}
+    stats = {"results": cache.stats(), "checks": checks.stats()}
+    parts = (stats["results"], stats["checks"])
     # One-document campaign rollup: a thousand-scenario sweep wants a
-    # single set of totals, not three lists to re-aggregate.
+    # single set of totals, not two lists to re-aggregate.
     stats["totals"] = {
-        "entries": sum(s["entries"] for s in
-                       (stats["results"], stats["templates"],
-                        stats["checks"])),
-        "total_bytes": sum(s["total_bytes"] for s in
-                           (stats["results"], stats["templates"],
-                            stats["checks"])),
-        "evictions": sum(s["evictions"] for s in
-                         (stats["results"], stats["templates"],
-                          stats["checks"])),
+        "entries": sum(s["entries"] for s in parts),
+        "total_bytes": sum(s["total_bytes"] for s in parts),
+        "evictions": sum(s["evictions"] for s in parts),
         "check_hits": stats["checks"].get("hits", 0),
         "check_misses": stats["checks"].get("misses", 0),
-        "scenarios": len(set().union(*(s["scenarios"]
-                                       for s in (stats["results"],
-                                                 stats["templates"],
-                                                 stats["checks"])))),
+        "scenarios": len(set().union(*(s["scenarios"] for s in parts))),
     }
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    for label in ("results", "templates", "checks"):
+    for label in ("results", "checks"):
         s = stats[label]
         print(f"{label} {s['root']}: {s['entries']} entries, "
               f"{s['total_bytes']:,} bytes "
@@ -1163,7 +1140,8 @@ def main(argv: list[str] | None = None) -> int:
     p_car.add_argument("--no-round-template", dest="round_template",
                        action="store_false",
                        help="disable round-template fast-forward (exact "
-                            "event-by-event execution)")
+                            "event-by-event execution; the trace, metrics "
+                            "and event count are identical either way)")
     p_car.add_argument("--runtime", choices=RUNTIME_NAMES, default="sim",
                        help="execution runtime: sim (fast as possible), "
                             "realtime (paced against the wall clock), or "
@@ -1442,12 +1420,10 @@ def main(argv: list[str] | None = None) -> int:
     p_cstats.set_defaults(func=_cmd_cache)
 
     p_cclear = cache_sub.add_parser(
-        "clear", help="delete every cache entry (results and templates)")
+        "clear", help="delete every cache entry (results and check reports)")
     p_cclear.add_argument("--cache-dir", default=".repro_cache", metavar="PATH")
     p_cclear.add_argument("--max-bytes", type=int,
                           default=DEFAULT_CACHE_MAX_BYTES)
-    p_cclear.add_argument("--templates", action="store_true",
-                          help="clear only the persistent template banks")
     p_cclear.add_argument("--json", action="store_true")
     p_cclear.set_defaults(func=_cmd_cache)
 

@@ -395,7 +395,7 @@ class CommunicationController(Process):
                 missed[key[7:]] += d * k
 
     def rt_fingerprint(self, boundary: int, round_len: int) -> tuple | None:
-        """Quasi-periodic-mode fingerprint (strict mode never calls this).
+        """Round-template fingerprint.
 
         A drifting clock's slot phase never recurs exactly, so imperfect
         clocks veto every boundary — those clusters run live, as before.

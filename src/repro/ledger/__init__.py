@@ -1,7 +1,7 @@
 """Fleet provenance: the append-only run ledger and its replay audit.
 
 Every executed scenario run appends one NDJSON record — spec, spec
-digest, code digest, engine version, runtime, golden trace digest,
+digest, code digest, runtime, golden trace digest,
 wall time, metrics snapshot, round-template stats — to a crash-safe
 ledger file (:class:`RunLedger`, default ``.repro_cache/ledger.ndjsonl``).
 The ledger is the durable half of sweep observability: the sweep report

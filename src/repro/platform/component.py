@@ -74,7 +74,8 @@ class Component(Process):
                     f"partition window of {name!r} overlaps {other.name!r} "
                     "— temporal partitioning requires disjoint windows"
                 )
-        part = Partition(self.sim, name, das, window, memory_quota=memory_quota)
+        part = Partition(self.sim, name, das, window, memory_quota=memory_quota,
+                         frame=self.major_frame)
         self.partitions[name] = part
         if self.active:
             self._schedule_partition(part)

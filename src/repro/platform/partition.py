@@ -88,11 +88,15 @@ class Partition:
         das: str,
         window: PartitionWindow,
         memory_quota: int = 64 * 1024,
+        frame: int | None = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.das = das
         self.window = window
+        #: Major-frame period the window recurs at (None when the
+        #: partition is driven by hand rather than by a component).
+        self.frame = frame
         self.memory_quota = memory_quota
         self.memory_used = 0
         self.jobs: list["Job"] = []
@@ -106,9 +110,8 @@ class Partition:
         self._m_windows = m.counter("partition.windows")
         self._m_deferred = m.histogram("partition.deferred_per_window")
         # Window execution is demand-shaped by job state: a fingerprinted
-        # dynamic participant in quasi-periodic round-template mode (and,
-        # like every dynamic, a blocker in strict mode).
-        sim.round_template.register_dynamic(f"partition.{name}", self)
+        # dynamic round-template participant.
+        sim.round_template.register_participant(self)
 
     # ------------------------------------------------------------------
     # membership

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .scenarios import ScenarioSpec
 
-__all__ = ["CheckCache", "ResultCache", "TemplateStore", "check_key",
-           "code_digest", "result_key", "template_key"]
+__all__ = ["CheckCache", "ResultCache", "check_key", "code_digest",
+           "result_key"]
 
 #: bump to invalidate every existing cache entry on format changes
 CACHE_FORMAT = 2
@@ -45,24 +45,6 @@ def result_key(spec: ScenarioSpec, code: str) -> str:
     """Cache key for one scenario under one code state."""
     payload = json.dumps(
         {"format": CACHE_FORMAT, "spec": spec.as_dict(), "code": code},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def template_key(spec: ScenarioSpec, code: str) -> str:
-    """Persistent-template-bank key for one scenario under one code state.
-
-    Separate from :func:`result_key` so the two namespaces can never
-    collide, and salted with the round-template engine's wire-format
-    version: a bank written by an older engine is unreachable (not
-    merely rejected at validation) after a format bump.
-    """
-    from ..sim.round_template import ENGINE_VERSION
-
-    payload = json.dumps(
-        {"format": CACHE_FORMAT, "kind": "templates",
-         "engine": ENGINE_VERSION, "spec": spec.as_dict(), "code": code},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
@@ -184,12 +166,10 @@ class _DirCache:
         self._index_total = 0
         self._by_scenario = {}
 
-    def _write(self, spec: ScenarioSpec, key: str, payload: dict,
-               indent: int | None = 2) -> Path:
-        return self.put_entries([(spec, key, payload)], indent=indent)[0]
+    def _write(self, spec: ScenarioSpec, key: str, payload: dict) -> Path:
+        return self.put_entries([(spec, key, payload)])[0]
 
-    def put_entries(self, items: list[tuple[ScenarioSpec, str, dict]],
-                    indent: int | None = 2) -> list[Path]:
+    def put_entries(self, items: list[tuple[ScenarioSpec, str, dict]]) -> list[Path]:
         """Store a batch of entries with O(1)-amortized bookkeeping.
 
         Stale same-scenario entries (older code states) are reaped via
@@ -213,7 +193,7 @@ class _DirCache:
             if stale is not None and stale != filename:
                 (self.root / stale).unlink(missing_ok=True)
                 self._index_total -= self._index.pop(stale, 0)
-            data = json.dumps(dict(payload, key=key), indent=indent,
+            data = json.dumps(dict(payload, key=key), indent=2,
                               sort_keys=True) + "\n"
             path = self.root / filename
             path.write_text(data)
@@ -335,35 +315,6 @@ class ResultCache(_DirCache):
             (spec, key, {"spec": spec.as_dict(), "result": result})
             for spec, key, result in items
         ])
-
-
-class TemplateStore(_DirCache):
-    """Persistent bank of compiled round templates, one file per
-    scenario, under ``<cache root>/templates/``.
-
-    A stored bank is advisory: the engine re-validates it against the
-    live registration (engine version, mode, round length, label set,
-    participant count) at ``begin`` and signature/fingerprint-checks
-    every replay, so a stale or hand-edited file can only cost a warm
-    start, never correctness.  Banks are written compact (no indent) —
-    a car-class bank runs to thousands of templates.
-    """
-
-    def __init__(self, root: str | Path = ".repro_cache",
-                 max_bytes: int = DEFAULT_CACHE_MAX_BYTES) -> None:
-        super().__init__(Path(root) / "templates", max_bytes=max_bytes)
-
-    def get(self, spec: ScenarioSpec, key: str) -> dict | None:
-        """The stored template bank, or ``None`` on miss/corruption."""
-        payload = self._read(spec, key)
-        if payload is None:
-            return None
-        bank = payload.get("bank")
-        return bank if isinstance(bank, dict) else None
-
-    def put(self, spec: ScenarioSpec, key: str, bank: dict) -> Path:
-        return self._write(spec, key, {"spec": spec.as_dict(),
-                                       "bank": bank}, indent=None)
 
 
 class CheckCache(_DirCache):

@@ -5,46 +5,35 @@ time-triggered physical network with a statically known TDMA schedule —
 means that in steady state the simulation repeats itself every
 communication round: the same controller slot actions, frame
 transmissions, bus deliveries, and TT dispatches at the same offsets
-within every round.  This module compiles that repetition into a
-**round template** and lets the kernel *replay* whole rounds in bulk
-instead of executing them event by event.
+within every round.  This module compiles that repetition into **round
+templates** and lets the kernel *replay* whole rounds in bulk instead
+of executing them event by event.
 
-Two eligibility modes (see DESIGN 6.w for the full matrix):
-
-**Strict** (``activate()``) is the original engine: pure-TT clusters
-only.  Any event-triggered virtual network, gateway, or drifting clock
-permanently blocks the fast path, and a template requires two identical
-*consecutive* rounds.
-
-**Quasi-periodic** (``activate(quasi_periodic=True)``) extends capture
-to gateway scenarios whose ET traffic reaches steady state: periodic
-senders whose send pattern repeats at the hyperperiod.  Instead of one
-template it maintains a **bank** keyed by the *phase-normalized* heap
-signature plus a participant **fingerprint**, so rounds that recur at
-different offsets against the round grid (drifting producers, window
-orbits) re-arm by re-timestamping the template deltas against the
-observed boundary phase.  ET networks and gateways register as *dynamic
-participants* (:meth:`RoundTemplateEngine.register_dynamic`) rather
-than permanent blockers: their per-round state deltas are checked and
-extrapolated like any other participant, and their fingerprints veto
-rounds whose hidden state (pending ET queues, message freshness) does
-not exactly match the compiled occurrence.
+The engine keeps a **bank** of templates keyed by the
+*phase-normalized* heap signature at a round boundary plus a
+participant **fingerprint**, so rounds that recur at different offsets
+against the round grid (drifting producers, window orbits) re-arm by
+re-timestamping the template deltas against the observed boundary
+phase.  ET virtual networks, gateways and partitions register as
+participants (:meth:`RoundTemplateEngine.register_participant`) like
+the TT core network: their per-round state deltas are checked and
+extrapolated, and their fingerprints veto rounds whose hidden state
+(pending ET queues, message freshness) does not exactly match the
+compiled occurrence.  See DESIGN 6.w for the eligibility matrix.
 
 How it works
 ------------
 The engine observes the simulation at **round boundaries** (multiples
-of the cluster-cycle LCM; in quasi-periodic mode registered *label*
-periods are deliberately not folded in, so ET/TT dispatch periods above
-the cycle hyperperiod show up as far events instead of exploding the
-round).  While recording it snapshots observable state at boundaries
-(metric counters, histograms, trace tick counts, and every registered
-participant's ``rt_state()``) plus the exact trace records a round
-emitted.  A strict template compiles from two identical consecutive
-rounds; a quasi-periodic template compiles per bank key — immediately
-in counter-trace runs (no records to prototype), or from two paired
-occurrences of the same key in full-trace runs (record offsets must
-match relative to each occurrence's phase, with an integer per-round
-stride on whitelisted keys like ``cycle``).
+of the cluster-cycle LCM; TT dispatch periods above the cycle
+hyperperiod show up as far events instead of exploding the round).  At
+every boundary it snapshots observable state (metric counters,
+histograms, trace tick counts, and every registered participant's
+``rt_state()``) and, in full-trace runs, captures the exact trace
+records the round emits.  A template compiles per bank key —
+immediately in counter-trace runs (no records to prototype), or from
+two paired occurrences of the same key in full-trace runs (record
+offsets must match relative to each occurrence's phase, with an
+integer per-round stride on whitelisted keys like ``cycle``).
 
 Replaying ``k`` rounds then means: bulk-emit ``k`` copies of the record
 prototypes re-timestamped against the current boundary phase (the
@@ -54,33 +43,20 @@ counters (numpy delta vector), histogram buckets
 and every participant's statistics by ``k`` times the per-round delta,
 advance the pending heap events by their observed successor strides,
 and skip ahead.  Byte-for-byte trace parity is *checked, not assumed*:
-templates are built from observed equality, the boundary signature and
-fingerprint are re-verified before every replay (in quasi-periodic mode
-the bank lookup *is* that verification), and any deviation — an
+templates are built from observed equality, the bank lookup re-verifies
+signature and fingerprint before every replay, and any deviation — an
 unregistered event, a non-linear state delta, a fingerprint mismatch —
-falls back to event-by-event execution for that round.
+falls back to event-by-event execution for that round.  Templates live
+only for one ``run_until`` call; nothing is persisted.
 
-Persistent template store
+Dynamic-activity contract
 -------------------------
-``dump_bank()``/``load_bank()`` serialize compiled templates so a
-sweep's second run — and every parallel worker — skips warm-up (see
-:class:`repro.runner.cache.TemplateStore`; keyed by spec + code digest
-+ :data:`ENGINE_VERSION`).  A loaded bank is validated eagerly against
-the engine's mode, round length, label set, and participant count;
-any mismatch or parse error discards it and falls back to live
-compilation.  Runs that punctured never persist their bank.
-
-Interleaving-source contract
-----------------------------
 Dynamic activity that is *not* part of the periodic round must either
 
-* register a permanent **interleaving source**
-  (:meth:`RoundTemplateEngine.add_interleaving_source`) — a true
-  unknown, disabling the fast path in both modes, or
-* register as a **dynamic participant**
-  (:meth:`RoundTemplateEngine.register_dynamic`) — ET virtual networks
-  and gateways do this at construction: blocking in strict mode,
-  delta-checked and fingerprinted in quasi-periodic mode, or
+* register as a **participant**
+  (:meth:`RoundTemplateEngine.register_participant`) — ET virtual
+  networks, gateways and partitions do this at construction:
+  delta-checked and fingerprinted, or
 * **puncture** the fast path at the instant the dynamics change
   (:meth:`RoundTemplateEngine.puncture`) — the fault injector does this
   on every activation/deactivation, which drops every compiled template
@@ -92,10 +68,11 @@ Dynamic activity that is *not* part of the periodic round must either
   safe by default).
 
 The engine is **dormant until** :meth:`activate` is called.  Scenario
-builders (:func:`repro.runner.scenarios.build_scenario`) activate the
-quasi-periodic mode by default (``--no-round-template`` opts out);
-hand-built simulators — unit tests poking at model internals between
-events — keep exact event-by-event execution unless they opt in.
+builders (:func:`repro.runner.scenarios.build_scenario`) and
+:func:`repro.apps.build_car` activate it by default
+(``--no-round-template`` opts out); hand-built simulators — unit tests
+poking at model internals between events — keep exact event-by-event
+execution unless they opt in.
 
 Participant protocol (duck-typed)
 ---------------------------------
@@ -107,31 +84,29 @@ Participant protocol (duck-typed)
 ``rt_advance(delta: dict[str, int], k: int) -> None``
     Apply ``k`` rounds' worth of ``delta`` to the model state.
 ``rt_fingerprint(boundary: int, round_len: int) -> tuple | None``
-    *(optional, quasi-periodic only)* JSON-safe tuple of the hidden
-    state that must match exactly for a compiled round to be replayed
-    at this boundary (queue occupancy, freshness ages, value-driven
-    mode bits — including look-ahead over the round when behaviour can
-    change mid-round).  ``None`` vetoes the boundary entirely: the
-    round runs live and is not recorded.  **Invariance contract**: a
-    replay of ``k`` rounds re-verifies the fingerprint only at entry,
-    so a participant's fingerprint must be invariant under its own
-    round delta (``rt_advance(delta, 1)`` at ``B`` must reproduce the
-    fingerprint at ``B + round_len``) — or the participant must bound
-    the span via ``rt_headroom``.
+    *(optional)* Hashable tuple of the hidden state that must match
+    exactly for a compiled round to be replayed at this boundary (queue
+    occupancy, freshness ages, value-driven mode bits — including
+    look-ahead over the round when behaviour can change mid-round).
+    ``None`` vetoes the boundary entirely: the round runs live and is
+    not recorded.  **Invariance contract**: a replay of ``k`` rounds
+    re-verifies the fingerprint only at entry, so a participant's
+    fingerprint must be invariant under its own round delta
+    (``rt_advance(delta, 1)`` at ``B`` must reproduce the fingerprint
+    at ``B + round_len``) — or the participant must bound the span via
+    ``rt_headroom``.
 ``rt_headroom(boundary: int, round_len: int) -> int | None``
-    *(optional, quasi-periodic only)* Upper bound on the number of
-    whole rounds from ``boundary`` over which the participant's
-    behaviour is guaranteed phase-repeating (None = unbounded).  Used
-    by model-driven participants whose behaviour changes at known
-    future instants (scenario plan transitions, freshness expiry): a
-    replay never extrapolates past the bound, and a bound of 0 forces
-    the round to run live.
+    *(optional)* Upper bound on the number of whole rounds from
+    ``boundary`` over which the participant's behaviour is guaranteed
+    phase-repeating (None = unbounded).  Used by model-driven
+    participants whose behaviour changes at known future instants
+    (scenario plan transitions, freshness expiry): a replay never
+    extrapolates past the bound, and a bound of 0 forces the round to
+    run live.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
@@ -143,32 +118,16 @@ from .trace import CounterSink, TraceRecord
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
 
-__all__ = ["RoundTemplateEngine", "STRIDE_KEYS", "WARMUP", "MAX_BACKOFF",
-           "ENGINE_VERSION"]
+__all__ = ["RoundTemplateEngine", "STRIDE_KEYS"]
 
 #: Trace-detail keys allowed to advance by a constant integer stride per
 #: round (everything else must be bit-identical between rounds).
 STRIDE_KEYS = ("cycle", "nominal")
 
-#: Rounds skipped after activation/reset before strict recording begins,
-#: so start-up transients (first sync round, membership settling) never
-#: land in a template.
-WARMUP = 2
-
-#: Ceiling for the exponential strict-recording back-off, in rounds.
-MAX_BACKOFF = 64
-
-#: Template wire-format / semantics version.  Bumped whenever the
-#: compiled-template shape or replay semantics change; the persistent
-#: store keys on it so stale files can never be misread.
-ENGINE_VERSION = 2
-
-_IDLE, _REC1, _REC2, _ARMED = 0, 1, 2, 3
-
 
 def _canon(value: Any) -> Any:
-    """Recursively turn JSON lists back into tuples (bank keys and
-    fingerprints round-trip through JSON as lists)."""
+    """Recursively turn lists into tuples, so fingerprints hash as bank
+    keys."""
     if isinstance(value, list):
         return tuple(_canon(v) for v in value)
     return value
@@ -180,63 +139,36 @@ class RoundTemplateEngine:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._active = False
-        self._quasi = False
         self._round_len = 0
         self._cycle_periods: list[int] = []
-        self._label_periods: list[int] = []
         self._participants: list[Any] = []
-        self._dynamics: list[tuple[str, Any]] = []
         self._labels: set[str] = set()
-        self._sources: set[str] = set()
-        self._clock_sources: set[str] = set()
-        self._parts_cache: list[Any] | None = None
         self._hooks_cache: tuple[list[Any], list[Any]] | None = None
-        self._state = _IDLE
         self._boundary = 0
-        self._skip = WARMUP
-        self._backoff = 1
-        self._snap: dict | None = None
-        self._first_delta: dict | None = None
-        self._first_records: list[TraceRecord] | None = None
         self._capture: list[TraceRecord] = []
         self._capture_listener = self._capture.append
         self._unsub: Callable[[], None] | None = None
-        self._qp_capture_wanted = False
-        self._template: dict | None = None
-        # quasi-periodic bank -------------------------------------------
+        self._capture_wanted = False
         self._bank: dict[tuple, dict] = {}
         self._cands: dict[tuple, dict] = {}
-        self._qp_prev: tuple | None = None
-        self._pending_bank: dict | None = None
-        self._loaded_strict: dict | None = None
-        self._dirty = False
+        self._prev: tuple | None = None
         # statistics ----------------------------------------------------
         self.rounds_replayed = 0
         self.replays = 0
         self.recordings = 0
         self.failed_recordings = 0
         self.punctures = 0
-        self.templates_loaded = 0
-        self.template_load_failures = 0
 
     # ------------------------------------------------------------------
     # configuration & registration
     # ------------------------------------------------------------------
-    def activate(self, quasi_periodic: bool = False) -> None:
-        """Enable the fast path (dormant by default — see module docs).
-
-        ``quasi_periodic=True`` selects the extended eligibility mode:
-        dynamic participants are fingerprinted instead of blocking, and
-        the round length folds only cluster cycles (not label periods).
-        """
+    def activate(self) -> None:
+        """Enable the fast path (dormant by default — see module docs)."""
         self._active = True
-        if quasi_periodic != self._quasi:
-            self._quasi = quasi_periodic
-            self._touch_config()
 
     def deactivate(self) -> None:
         self._active = False
-        self._qp_capture_wanted = False
+        self._capture_wanted = False
         self._reset()
 
     @property
@@ -244,14 +176,9 @@ class RoundTemplateEngine:
         return self._active
 
     @property
-    def quasi_periodic(self) -> bool:
-        return self._quasi
-
-    @property
     def engaged(self) -> bool:
-        """Could the fast path run right now (active, no blocking
-        interleaving sources for the current mode)?"""
-        return self._active and not self._blockers()
+        """Could the fast path run right now?"""
+        return self._active
 
     @property
     def next_boundary(self) -> int:
@@ -262,41 +189,14 @@ class RoundTemplateEngine:
         return self._round_len
 
     @property
-    def bank_dirty(self) -> bool:
-        """True iff this run compiled at least one new template."""
-        return self._dirty
-
-    def _blockers(self) -> set[str]:
-        """Names blocking the fast path in the current mode."""
-        if self._quasi:
-            return self._sources
-        blockers = self._sources | self._clock_sources
-        for name, _obj in self._dynamics:
-            blockers.add(name)
-        return blockers
-
-    @property
-    def _eff_parts(self) -> list[Any]:
-        """Participants in delta order: explicit registrations first,
-        then dynamic participants in registration order."""
-        parts = self._parts_cache
-        if parts is None:
-            parts = list(self._participants)
-            for _name, obj in self._dynamics:
-                if all(existing is not obj for existing in parts):
-                    parts.append(obj)
-            self._parts_cache = parts
-        return parts
-
-    @property
     def _part_hooks(self) -> tuple[list[Any], list[Any]]:
         """Bound ``rt_fingerprint`` / ``rt_headroom`` methods of every
-        participant that has one, cached alongside :attr:`_eff_parts`
+        participant that has one, cached until the next registration
         (the getattr probe per participant per boundary is measurable
         on hot runs)."""
         hooks = self._hooks_cache
         if hooks is None:
-            parts = self._eff_parts
+            parts = self._participants
             fps = [fn for fn in (getattr(p, "rt_fingerprint", None)
                                  for p in parts) if fn is not None]
             hrs = [fn for fn in (getattr(p, "rt_headroom", None)
@@ -310,10 +210,7 @@ class RoundTemplateEngine:
         Registers the cluster's cycle length, every controller's slot and
         cycle-end event labels, and the controllers, bus, and guardian as
         participants.  A controller on an imperfect (drifting) clock
-        blocks the strict mode (its clock state mutates every sync
-        round, which linear extrapolation cannot reproduce); in
-        quasi-periodic mode the controller's clock-phase fingerprint
-        decides round by round instead.
+        vetoes boundaries through its clock-phase fingerprint.
         """
         self._cycle_periods.append(cluster.schedule.cycle_length)
         for ctrl in cluster.controllers.values():
@@ -321,19 +218,13 @@ class RoundTemplateEngine:
             for slot, _offset in ctrl._own_slots:
                 self._labels.add(f"{ctrl.name}.slot{slot.slot_id}")
             self._participants.append(ctrl)
-            if not ctrl.clock._perfect:
-                self._clock_sources.add(f"clock.{ctrl.component}")
         self._participants.append(cluster.bus)
         self._participants.append(cluster.guardian)
         self._touch_config()
 
-    def register_labels(self, labels: Any, period: int | None = None) -> None:
-        """Declare event labels as template-covered; ``period`` (if any)
-        is folded into the strict round length (quasi-periodic rounds
-        fold cluster cycles only)."""
+    def register_labels(self, labels: Any) -> None:
+        """Declare event labels as template-covered."""
         self._labels.update(labels)
-        if period is not None and period > 0:
-            self._label_periods.append(period)
         self._touch_config()
 
     def register_participant(self, obj: Any) -> None:
@@ -342,44 +233,22 @@ class RoundTemplateEngine:
             self._participants.append(obj)
         self._touch_config()
 
-    def register_dynamic(self, name: str, obj: Any) -> None:
-        """Register an inherently event-triggered subsystem (ET virtual
-        network, gateway).  Blocks the strict mode like an interleaving
-        source; participates (delta-checked + fingerprinted) in
-        quasi-periodic mode."""
-        if all(existing is not obj for _n, existing in self._dynamics):
-            self._dynamics.append((name, obj))
-        self._touch_config()
-
-    def add_interleaving_source(self, name: str) -> None:
-        """Permanently disable the fast path for this simulator (a true
-        unknown the engine cannot model in any mode)."""
-        self._sources.add(name)
-        self._reset()
-
     def puncture(self) -> None:
         """Drop every compiled template and restart recording (called at
         the instant the model's dynamics change, e.g. fault injection).
-        The whole bank is dropped, not just the current template: a
-        post-fault steady state may collide with a pre-fault bank key,
-        and a stale hit would replay the wrong deltas."""
+        The whole bank is dropped: a post-fault steady state may collide
+        with a pre-fault bank key, and a stale hit would replay the
+        wrong deltas."""
         self._reset()
         self.punctures += 1
 
-    def _recompute_round_len(self) -> None:
-        periods = list(self._cycle_periods)
-        if not (self._quasi and periods):
-            periods += self._label_periods
-        length = 0
-        for period in periods:
-            length = math.lcm(length, period) if length else period
-        self._round_len = length
-
     def _touch_config(self) -> None:
         """Registration changed mid-run: drop state, re-derive boundary."""
-        self._parts_cache = None
         self._hooks_cache = None
-        self._recompute_round_len()
+        length = 0
+        for period in self._cycle_periods:
+            length = math.lcm(length, period) if length else period
+        self._round_len = length
         self._reset()
         if self._round_len > 0:
             self._boundary = (self.sim._now // self._round_len + 1) * self._round_len
@@ -387,17 +256,9 @@ class RoundTemplateEngine:
     def _reset(self) -> None:
         self._abort_capture()
         self._capture.clear()
-        self._template = None
-        self._snap = None
-        self._first_delta = None
-        self._first_records = None
-        self._state = _IDLE
-        self._skip = WARMUP
-        self._backoff = 1
         self._bank.clear()
         self._cands.clear()
-        self._qp_prev = None
-        self._loaded_strict = None
+        self._prev = None
         self._ensure_capture()
 
     def _abort_capture(self) -> None:
@@ -406,118 +267,11 @@ class RoundTemplateEngine:
             self._unsub = None
 
     def _ensure_capture(self) -> None:
-        """Keep the quasi-periodic record capture subscribed across
-        resets; without it, every template compiled after a puncture
-        would pair empty record lists and replay record-less rounds."""
-        if self._qp_capture_wanted and self._unsub is None:
+        """Keep the record capture subscribed across resets; without it,
+        every template compiled after a puncture would pair empty record
+        lists and replay record-less rounds."""
+        if self._capture_wanted and self._unsub is None:
             self._unsub = self.sim.trace.subscribe(self._capture_listener)
-
-    # ------------------------------------------------------------------
-    # persistent template store
-    # ------------------------------------------------------------------
-    def load_bank(self, data: dict | None) -> None:
-        """Stash a previously dumped template bank; it is validated and
-        materialized at the next :meth:`begin` (registration must be
-        complete before the bank can be checked against it)."""
-        self._pending_bank = data
-
-    def _labels_digest(self) -> str:
-        payload = json.dumps(sorted(self._labels))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def _strip(self, tpl: dict) -> dict:
-        return {k: v for k, v in tpl.items() if not k.startswith("_")}
-
-    def dump_bank(self) -> dict | None:
-        """JSON-able snapshot of every compiled template (None if there
-        is nothing worth persisting)."""
-        strict_tpl = None
-        if not self._quasi and self._state == _ARMED and self._template:
-            strict_tpl = self._strip(self._template)
-        if not self._bank and strict_tpl is None:
-            return None
-        entries = []
-        for key in sorted(self._bank, key=repr):
-            entries.append({"key": [key[0], key[1]],
-                            "tpl": self._strip(self._bank[key])})
-        return {
-            "version": ENGINE_VERSION,
-            "mode": "qp" if self._quasi else "strict",
-            "round_len": self._round_len,
-            "labels": self._labels_digest(),
-            "parts": len(self._eff_parts),
-            "strict_tpl": strict_tpl,
-            "templates": entries,
-        }
-
-    def _canon_tpl(self, raw: dict) -> dict:
-        protos = tuple(
-            (int(nrel), str(cat), str(src), dict(detail),
-             tuple((str(k), v, int(s)) for k, v, s in strides))
-            for nrel, cat, src, detail, strides in raw["protos"]
-        )
-        tpl = {
-            "protos": protos,
-            "ticks": [{str(c): int(n) for c, n in d.items()}
-                      for d in raw["ticks"]],
-            "counters": {str(n): int(v) for n, v in raw["counters"].items()},
-            "hists": {str(n): (int(dc), int(dtot),
-                               tuple((int(i), int(db)) for i, db in bd))
-                      for n, (dc, dtot, bd) in raw["hists"].items()},
-            "events": int(raw["events"]),
-            "parts": [{str(k): int(v) for k, v in d.items()}
-                      for d in raw["parts"]],
-            "mbase": int(raw["mbase"]),
-            "uniform": None if raw["uniform"] is None else int(raw["uniform"]),
-            "strides": tuple(int(s) for s in raw["strides"]),
-        }
-        if raw.get("sig") is not None:
-            tpl["sig"] = tuple((int(r), int(p), str(lb))
-                               for r, p, lb in raw["sig"])
-        return tpl
-
-    def _materialize_bank(self) -> None:
-        data = self._pending_bank
-        # One-shot: a puncture drops loaded templates on purpose (their
-        # keys may collide with post-fault state), so a later run_until
-        # must not quietly resurrect the same bank.
-        self._pending_bank = None
-        if data is None:
-            return
-        if not isinstance(data, dict):
-            self.template_load_failures += 1
-            return
-        try:
-            if data.get("version") != ENGINE_VERSION:
-                raise ValueError("engine version mismatch")
-            if data.get("mode") != ("qp" if self._quasi else "strict"):
-                raise ValueError("mode mismatch")
-            if data.get("round_len") != self._round_len:
-                raise ValueError("round length mismatch")
-            if data.get("labels") != self._labels_digest():
-                raise ValueError("label set mismatch")
-            if data.get("parts") != len(self._eff_parts):
-                raise ValueError("participant count mismatch")
-            bank: dict[tuple, dict] = {}
-            count = 0
-            for entry in data.get("templates", ()):
-                norm, fp = entry["key"]
-                key = (_canon(norm), _canon(fp))
-                bank[key] = self._canon_tpl(entry["tpl"])
-                count += 1
-            loaded_strict = None
-            strict_raw = data.get("strict_tpl")
-            if strict_raw is not None and not self._quasi:
-                loaded_strict = self._canon_tpl(strict_raw)
-                if loaded_strict.get("sig") is None:
-                    raise ValueError("strict template without signature")
-                count += 1
-        except Exception:
-            self.template_load_failures += 1
-            return
-        self._bank.update(bank)
-        self._loaded_strict = loaded_strict
-        self.templates_loaded = count
 
     # ------------------------------------------------------------------
     # kernel entry points
@@ -527,13 +281,9 @@ class RoundTemplateEngine:
 
         Recording always restarts from scratch: model state may have been
         mutated between runs (tests crash controllers, tweak queues), so
-        an in-process template from a previous run is never trusted.  A
-        *persisted* bank (``load_bank``) is the one exception: it is
-        validated against the freshly built registration and its
-        templates remain signature/fingerprint-verified before every
-        replay.
+        a template from a previous run is never trusted.
         """
-        if not self._active or self._round_len <= 0 or self._blockers():
+        if not self._active or self._round_len <= 0:
             return None
         self._reset()
         sim = self.sim
@@ -548,105 +298,68 @@ class RoundTemplateEngine:
             # A live listener observes records one by one; bulk replay
             # would change what it sees relative to model state.
             return None
-        self._materialize_bank()
-        # Quasi-periodic recording is continuous: every live round is a
-        # potential template occurrence, so capture stays subscribed for
-        # the whole run (cleared at each boundary) — and must survive
-        # mid-run resets (punctures, registrations), which re-establish
-        # it via ``_ensure_capture``.
-        self._qp_capture_wanted = self._quasi and sim.trace.wants_records
+        # Recording is continuous: every live round is a potential
+        # template occurrence, so capture stays subscribed for the whole
+        # run (cleared at each boundary) — and must survive mid-run
+        # resets (punctures, registrations), which re-establish it via
+        # ``_ensure_capture``.
+        self._capture_wanted = sim.trace.wants_records
         self._ensure_capture()
         self._boundary = (sim._now // self._round_len + 1) * self._round_len
         return self
 
     def on_boundary(self, t: int) -> None:
         """Called by the kernel with the queue drained up to (excluding)
-        ``next_boundary``; advances the recording machinery and/or
-        fast-forwards.  Always either advances the boundary or replays,
-        so kernel progress is guaranteed."""
-        if self._quasi:
-            self._qp_on_boundary(t)
-            return
+        ``next_boundary``: finishes recording the round that just ended,
+        then replays from the bank or starts recording the next round.
+        Always either advances the boundary or replays, so kernel
+        progress is guaranteed."""
         B = self._boundary
         L = self._round_len
-        state = self._state
-        if state == _ARMED:
-            self._replay(B, t)
-            return
-        if state == _IDLE:
-            if self._loaded_strict is not None:
-                sig = self._signature(B)
-                if sig is not None and sig[0] == self._loaded_strict["sig"]:
-                    # Persisted-template warm start: skip the warm-up and
-                    # the two-round recording entirely.
-                    self._template = self._loaded_strict
-                    self._loaded_strict = None
-                    self._state = _ARMED
-                    self._backoff = 1
-                    self._replay(B, t)
-                    return
-            if self._skip > 0:
-                self._skip -= 1
-                self._boundary = B + L
-                return
-            snap = self._snapshot(B)
-            if snap is None:
-                self._fail()
-            else:
-                self._snap = snap
-                self._capture.clear()
-                self._unsub = self.sim.trace.subscribe(self._capture_listener)
-                self._state = _REC1
-            self._boundary = B + L
-            return
-        # _REC1 / _REC2: one more recorded round just completed
-        snap = self._snapshot(B)
-        records = list(self._capture)
+        scan = self._scan(B)
+        snap: dict | None = None
+        prev = self._prev
+        self._prev = None
+        if prev is not None and scan is not None:
+            key, psnap, entry_B = prev
+            snap = self._snapshot(scan[0])
+            if snap is not None:
+                records = list(self._capture)
+                delta = self._delta(psnap, snap)
+                if delta is not None:
+                    self._learn(key, psnap, delta, records, entry_B)
+                else:
+                    self.failed_recordings += 1
         self._capture.clear()
-        delta = (self._delta(self._snap, snap)
-                 if snap is not None else None)
-        if delta is None:
-            self._abort_capture()
-            self._fail()
+        if scan is None:
             self._boundary = B + L
             return
-        if state == _REC1:
-            self._first_delta = delta
-            self._first_records = records
-            self._snap = snap
-            self._state = _REC2
+        near, far_min = scan
+        key = self._key(B, near)
+        if key is None:
             self._boundary = B + L
             return
-        # _REC2: two consecutive rounds observed — compile and arm
-        self._abort_capture()
-        template = self._compile(self._first_delta, self._first_records,
-                                 delta, records, B)
-        self._snap = None
-        self._first_delta = None
-        self._first_records = None
-        if template is None:
-            self._fail()
+        tpl = self._bank.get(key)
+        if tpl is not None:
+            k = self._replay(tpl, near, far_min, B, t)
+            if k:
+                self.rounds_replayed += k
+                self.replays += 1
+                self._boundary = B + k * L
+                return
+            # No whole-round headroom: run this round live (the
+            # template stays banked for the next occurrence).
             self._boundary = B + L
             return
-        self._template = template
-        self._state = _ARMED
-        self._backoff = 1
-        self.recordings += 1
-        self._dirty = True
-        self._replay(B, t)
+        if snap is None:
+            snap = self._snapshot(scan[0])
+        if snap is not None:
+            self._prev = (key, snap, B)
+        self._boundary = B + L
 
     # ------------------------------------------------------------------
-    # shared observation machinery
+    # observation
     # ------------------------------------------------------------------
-    def _fail(self) -> None:
-        self._state = _IDLE
-        self._snap = None
-        self._first_delta = None
-        self._first_records = None
-        self._skip = self._backoff
-        self._backoff = min(self._backoff * 2, MAX_BACKOFF)
-        self.failed_recordings += 1
-
     def _scan(self, B: int) -> tuple[tuple, int | None] | None:
         """The pending queue's shape at boundary ``B``.
 
@@ -673,31 +386,16 @@ class RoundTemplateEngine:
         near.sort()
         return tuple((tm, pr, label) for tm, pr, _sq, label in near), far_min
 
-    def _signature(self, B: int) -> tuple[tuple, int | None] | None:
-        """Strict-mode view of :meth:`_scan`: boundary-relative offsets."""
-        scan = self._scan(B)
-        if scan is None:
-            return None
-        near, far_min = scan
-        return tuple((tm - B, pr, label) for tm, pr, label in near), far_min
-
-    def _snapshot(self, B: int,
-                  scan: tuple | None = None) -> dict | None:
-        """Full observable-state snapshot at boundary ``B`` (None if the
-        queue shape or sink configuration is not template-compatible)."""
-        if scan is None:
-            scan = self._scan(B)
-            if scan is None:
-                return None
-        near, far_min = scan
+    def _snapshot(self, near: tuple) -> dict | None:
+        """Full observable-state snapshot at a boundary whose in-round
+        events are ``near`` (None if the sink configuration is not
+        template-compatible)."""
         sim = self.sim
         tick_sinks = tuple(sim.trace._tick_sinks)
         for sink in tick_sinks:
             if not isinstance(sink, CounterSink):
                 return None  # unknown tick semantics — cannot bulk-apply
         return {
-            "sig": (tuple((tm - B, pr, label) for tm, pr, label in near),
-                    far_min),
             "near": near,
             "ticks": tick_sinks,
             "tick_counts": [dict(s.counts) for s in tick_sinks],
@@ -707,20 +405,12 @@ class RoundTemplateEngine:
                              tuple(h.buckets))
                       for name, h in sim.metrics._histograms.items()},
             "events": sim.events_executed,
-            "parts": [p.rt_state() for p in self._eff_parts],
+            "parts": [p.rt_state() for p in self._participants],
         }
 
-    def _delta(self, prev: dict | None, cur: dict,
-               require_sig_match: bool = True) -> dict | None:
+    def _delta(self, prev: dict, cur: dict) -> dict | None:
         """Per-round delta between two boundary snapshots, or None if the
-        round is not linearly replayable.  ``require_sig_match`` enforces
-        the strict-mode invariant that the round exits looking exactly
-        like it entered; the quasi-periodic bank keys rounds by entry
-        signature instead."""
-        if prev is None:
-            return None
-        if require_sig_match and prev["sig"][0] != cur["sig"][0]:
-            return None
+        round is not linearly replayable."""
         pt, ct = prev["ticks"], cur["ticks"]
         if len(pt) != len(ct) or any(a is not b for a, b in zip(pt, ct)):
             return None
@@ -748,7 +438,7 @@ class RoundTemplateEngine:
             hist_deltas[name] = (hc - p[0], htot - p[1], bucket_delta)
         part_deltas: list[dict[str, int]] = []
         for p_prev, p_cur, part in zip(prev["parts"], cur["parts"],
-                                       self._eff_parts):
+                                       self._participants):
             if tuple(p_prev) != tuple(p_cur):
                 return None  # participant key set changed
             d = {key: v - p_prev[key] for key, v in p_cur.items()}
@@ -763,86 +453,6 @@ class RoundTemplateEngine:
             "parts": part_deltas,
         }
 
-    def _make_tpl(self, delta: dict, protos: tuple, mbase: int,
-                  uniform: int | None, strides: tuple) -> dict:
-        return {
-            "protos": protos,
-            "ticks": delta["ticks"],
-            "counters": delta["counters"],
-            "hists": delta["hists"],
-            "events": delta["events"],
-            "parts": delta["parts"],
-            "mbase": mbase,
-            "uniform": uniform,
-            "strides": strides,
-        }
-
-    # ------------------------------------------------------------------
-    # strict compilation (two identical consecutive rounds)
-    # ------------------------------------------------------------------
-    def _compile(self, d1: dict | None, r1s: list | None,
-                 d2: dict, r2s: list, B2: int) -> dict | None:
-        """Compile two equal consecutive round deltas into a template.
-
-        ``d2``'s round spans ``[B2 - L, B2)``; it becomes the template's
-        base round.  Record prototypes pair off the two rounds' records:
-        equal category/source/detail (with an optional integer stride on
-        :data:`STRIDE_KEYS`) at equal in-round offsets.
-        """
-        if d1 is None or r1s is None:
-            return None
-        if (d1["ticks"] != d2["ticks"] or d1["counters"] != d2["counters"]
-                or d1["hists"] != d2["hists"] or d1["events"] != d2["events"]
-                or d1["parts"] != d2["parts"]):
-            return None
-        if len(r1s) != len(r2s):
-            return None
-        L = self._round_len
-        base = B2 - L
-        protos = self._pair_records(r1s, r2s, base - L, 0, base, 0, 1)
-        if protos is None:
-            return None
-        tpl = self._make_tpl(d2, protos, base, L, ())
-        tpl["sig"] = self._snap["sig"][0] if self._snap else None
-        return tpl
-
-    def _pair_records(self, r1s: list, r2s: list, B1: int, phi1: int,
-                      B2: int, phi2: int, n: int) -> tuple | None:
-        """Pair two occurrences' record lists into prototypes.
-
-        Offsets are compared relative to each occurrence's boundary and
-        phase; whitelisted detail keys may advance by an integer stride
-        per round (``n`` = rounds between the occurrences).
-        """
-        L = self._round_len
-        protos: list[tuple[int, str, str, dict, tuple]] = []
-        for r1, r2 in zip(r1s, r2s):
-            if r1.category != r2.category or r1.source != r2.source:
-                return None
-            nrel = r2.time - B2 - phi2
-            if nrel != r1.time - B1 - phi1:
-                return None
-            if not 0 <= nrel < L:
-                return None
-            dd1, dd2 = r1.detail, r2.detail
-            if tuple(sorted(dd1)) != tuple(sorted(dd2)):
-                return None
-            strides: list[tuple[str, int, int]] = []
-            for key, v2 in dd2.items():
-                v1 = dd1[key]
-                if v1 == v2:
-                    continue
-                if (key in STRIDE_KEYS and isinstance(v1, int)
-                        and isinstance(v2, int) and (v2 - v1) % n == 0):
-                    strides.append((key, v2, (v2 - v1) // n))
-                else:
-                    return None
-            protos.append((nrel, r1.category, r1.source, dd2, tuple(strides)))
-        return tuple(protos)
-
-    # ------------------------------------------------------------------
-    # quasi-periodic bank
-    # ------------------------------------------------------------------
     def _fingerprint(self, B: int) -> tuple | None:
         """Participant fingerprint tuple at boundary ``B`` (None vetoes
         the boundary: the round runs live and is never recorded)."""
@@ -855,7 +465,7 @@ class RoundTemplateEngine:
             fps.append(_canon(v))
         return tuple(fps)
 
-    def _qp_key(self, B: int, near: tuple) -> tuple | None:
+    def _key(self, B: int, near: tuple) -> tuple | None:
         fp = self._fingerprint(B)
         if fp is None:
             return None
@@ -894,52 +504,25 @@ class RoundTemplateEngine:
             strides.append(s - tm)
         return strides
 
-    def _qp_on_boundary(self, t: int) -> None:
-        B = self._boundary
-        L = self._round_len
-        scan = self._scan(B)
-        snap: dict | None = None
-        prev = self._qp_prev
-        self._qp_prev = None
-        if prev is not None and scan is not None:
-            key, psnap, entry_B = prev
-            snap = self._snapshot(B, scan)
-            if snap is not None:
-                records = list(self._capture)
-                delta = self._delta(psnap, snap, require_sig_match=False)
-                if delta is not None:
-                    self._qp_compile(key, psnap, delta, records, entry_B)
-                else:
-                    self.failed_recordings += 1
-        self._capture.clear()
-        if scan is None:
-            self._boundary = B + L
-            return
-        near, far_min = scan
-        key = self._qp_key(B, near)
-        if key is None:
-            self._boundary = B + L
-            return
-        tpl = self._bank.get(key)
-        if tpl is not None:
-            k = self._qp_replay(tpl, near, far_min, B, t)
-            if k:
-                self.rounds_replayed += k
-                self.replays += 1
-                self._boundary = B + k * L
-                return
-            # No whole-round headroom: run this round live (the
-            # template stays banked for the next occurrence).
-            self._boundary = B + L
-            return
-        if snap is None:
-            snap = self._snapshot(B, scan)
-        if snap is not None:
-            self._qp_prev = (key, snap, B)
-        self._boundary = B + L
+    # ------------------------------------------------------------------
+    # compilation
+    # ------------------------------------------------------------------
+    def _make_tpl(self, delta: dict, protos: tuple, mbase: int,
+                  uniform: int | None, strides: tuple) -> dict:
+        return {
+            "protos": protos,
+            "ticks": delta["ticks"],
+            "counters": delta["counters"],
+            "hists": delta["hists"],
+            "events": delta["events"],
+            "parts": delta["parts"],
+            "mbase": mbase,
+            "uniform": uniform,
+            "strides": strides,
+        }
 
-    def _qp_compile(self, key: tuple, psnap: dict, delta: dict,
-                    records: list, entry_B: int) -> None:
+    def _learn(self, key: tuple, psnap: dict, delta: dict,
+               records: list, entry_B: int) -> None:
         """One fully observed round for ``key`` just completed (entry at
         ``entry_B``, exit now): compile it, or pair it with an earlier
         occurrence when record prototypes are needed."""
@@ -962,7 +545,6 @@ class RoundTemplateEngine:
             self._bank[key] = self._make_tpl(delta, (), entry_B, uniform,
                                              tuple(strides))
             self.recordings += 1
-            self._dirty = True
             return
         cur = {"delta": delta, "records": records, "B": entry_B,
                "phi": phi, "uniform": uniform, "strides": list(strides)}
@@ -970,7 +552,7 @@ class RoundTemplateEngine:
         if cand is None:
             self._cands[key] = cur
             return
-        tpl = self._qp_pair(cand, cur)
+        tpl = self._pair(cand, cur)
         if tpl is None:
             self._cands[key] = cur  # drift toward the newer occurrence
             self.failed_recordings += 1
@@ -978,9 +560,8 @@ class RoundTemplateEngine:
         self._bank[key] = tpl
         del self._cands[key]
         self.recordings += 1
-        self._dirty = True
 
-    def _qp_pair(self, cand: dict, cur: dict) -> dict | None:
+    def _pair(self, cand: dict, cur: dict) -> dict | None:
         """Pair two occurrences of the same bank key into a template."""
         d1, d2 = cand["delta"], cur["delta"]
         if (d1["ticks"] != d2["ticks"] or d1["counters"] != d2["counters"]
@@ -1010,8 +591,47 @@ class RoundTemplateEngine:
         return self._make_tpl(d2, protos, cur["B"], cur["uniform"],
                               tuple(cur["strides"]))
 
-    def _qp_replay(self, tpl: dict, near: tuple, far_min: int | None,
-                   B: int, t: int) -> int:
+    def _pair_records(self, r1s: list, r2s: list, B1: int, phi1: int,
+                      B2: int, phi2: int, n: int) -> tuple | None:
+        """Pair two occurrences' record lists into prototypes.
+
+        Offsets are compared relative to each occurrence's boundary and
+        phase; whitelisted detail keys may advance by an integer stride
+        per round (``n`` = rounds between the occurrences).
+        """
+        L = self._round_len
+        protos: list[tuple[int, str, str, dict, tuple]] = []
+        for r1, r2 in zip(r1s, r2s):
+            if r1.category != r2.category or r1.source != r2.source:
+                return None
+            nrel = r2.time - B2 - phi2
+            if nrel != r1.time - B1 - phi1:
+                return None
+            if not 0 <= nrel < L:
+                return None
+            dd1, dd2 = r1.detail, r2.detail
+            if tuple(sorted(dd1)) != tuple(sorted(dd2)):
+                return None
+            strides: list[tuple[str, int, int]] = []
+            for key, v2 in dd2.items():
+                v1 = dd1[key]
+                if v1 == v2:
+                    continue
+                if (key in STRIDE_KEYS and isinstance(v1, int)
+                        and isinstance(v2, int) and (v2 - v1) % n == 0):
+                    strides.append((key, v2, (v2 - v1) // n))
+                else:
+                    return None
+            protos.append((nrel, r1.category, r1.source, dd2, tuple(strides)))
+        return tuple(protos)
+
+    # ------------------------------------------------------------------
+    # replay
+    # ------------------------------------------------------------------
+    def _replay(self, tpl: dict, near: tuple, far_min: int | None,
+                B: int, t: int) -> int:
+        """Replay as many whole rounds of ``tpl`` from ``B`` as are safe;
+        returns how many (0 = run this round live)."""
         L = self._round_len
         k = (t - B) // L
         if far_min is not None:
@@ -1044,36 +664,9 @@ class RoundTemplateEngine:
         self._apply(tpl, B, phi, k, near)
         return k
 
-    # ------------------------------------------------------------------
-    # replay (shared by both modes)
-    # ------------------------------------------------------------------
-    def _replay(self, B: int, t: int) -> None:
-        L = self._round_len
-        tpl = self._template
-        sig = self._signature(B)
-        if tpl is None or sig is None or sig[0] != tpl["sig"]:
-            # The queue no longer matches the compiled round — invalidate.
-            self._template = None
-            self._fail()
-            self._boundary = B + L
-            return
-        far_min = sig[1]
-        k = (t - B) // L
-        if far_min is not None:
-            k = min(k, (far_min - B - 1) // L)
-        if k < 1:
-            # Not a whole template-safe round of headroom: run it live
-            # (the template stays armed for the next boundary).
-            self._boundary = B + L
-            return
-        self._apply(tpl, B, 0, k, None)
-        self._boundary = B + k * L
-        self.rounds_replayed += k
-        self.replays += 1
-
     def _prep(self, tpl: dict) -> dict:
         """Preallocate the numpy buffers a template's bulk apply uses
-        (cached on the template; never serialized)."""
+        (cached on the template)."""
         counters = tpl["counters"]
         cnames = tuple(counters)
         npd = {
@@ -1088,13 +681,14 @@ class RoundTemplateEngine:
                 for name, (dc, dtot, bucket_delta) in tpl["hists"].items()
             ],
             # Participants whose delta is all-zero for this template
-            # need no rt_advance call (every implementation is a strict
-            # ``+= delta * k`` accumulator); precompute the survivors.
-            # Registration changes drop the whole bank, so the pairing
-            # with _eff_parts cannot go stale while "_np" lives.
+            # need no rt_advance call (every implementation advances by
+            # ``delta * k``, so a zero delta is a no-op); precompute the
+            # survivors.  Registration changes drop the whole bank, so
+            # the pairing with _participants cannot go stale while "_np"
+            # lives.
             "padv": [
                 (part, delta)
-                for part, delta in zip(self._eff_parts, tpl["parts"])
+                for part, delta in zip(self._participants, tpl["parts"])
                 if any(delta.values())
             ],
         }
@@ -1102,7 +696,7 @@ class RoundTemplateEngine:
         return npd
 
     def _apply(self, tpl: dict, B: int, phi: int, k: int,
-               near: tuple | None) -> None:
+               near: tuple) -> None:
         """Apply ``k`` rounds' worth of ``tpl`` starting at ``B`` with
         the observed boundary phase ``phi``."""
         from .kernel import PeriodicTask  # local import: kernel imports us
@@ -1187,7 +781,7 @@ class RoundTemplateEngine:
             queue.shift_span(horizon, shift)
         else:
             pending: dict[tuple[int, int, str], list[int]] = {}
-            for (tm, pr, label), st in zip(near or (), tpl["strides"]):
+            for (tm, pr, label), st in zip(near, tpl["strides"]):
                 pending.setdefault((tm, pr, label), []).append(st * k)
 
             def _retime(tm: int, pr: int, ev: Any) -> int | None:
@@ -1210,24 +804,16 @@ class RoundTemplateEngine:
         """JSON-ready engine statistics (for results and debugging)."""
         return {
             "active": self._active,
-            "mode": "quasi-periodic" if self._quasi else "strict",
             "round_length_ns": self._round_len,
-            "interleaving_sources": sorted(self._blockers()),
-            "dynamic_sources": sorted(name for name, _obj in self._dynamics),
             "rounds_replayed": self.rounds_replayed,
             "replays": self.replays,
             "recordings": self.recordings,
             "failed_recordings": self.failed_recordings,
             "punctures": self.punctures,
             "bank_templates": len(self._bank),
-            "templates_loaded": self.templates_loaded,
-            "template_load_failures": self.template_load_failures,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "qp" if self._quasi else "strict"
-        state = ("dormant" if not self._active
-                 else "blocked" if self._blockers()
-                 else ("idle", "rec1", "rec2", "armed")[self._state])
-        return (f"<RoundTemplateEngine {mode}/{state} L={self._round_len} "
+        state = "armed" if self._active else "dormant"
+        return (f"<RoundTemplateEngine {state} L={self._round_len} "
                 f"replayed={self.rounds_replayed} bank={len(self._bank)}>")

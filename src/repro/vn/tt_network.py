@@ -129,7 +129,7 @@ class TTVirtualNetwork(VirtualNetworkBase):
             )
             self._cancels.append(cancel)
             self.sim.round_template.register_labels(
-                (f"ttvn.{self.das}.{message}",), period=timing.period)
+                (f"ttvn.{self.das}.{message}",))
         if self._producers:
             self.sim.round_template.register_participant(self)
         if self.implicit_naming:

@@ -4,9 +4,9 @@ The engine's correctness claim is byte-for-byte equivalence: a run with
 steady-state fast-forward enabled must produce the identical trace
 digest, metrics snapshot, event count, and final clock as the exact
 event-by-event run.  These tests prove that claim over every registered
-sweep scenario (including both fault scenarios), check that the fast
-path genuinely engages where it should, and exercise mid-round
-puncturing by dynamic activity.
+sweep scenario (including both fault scenarios) and the ``build_car``
+path behind ``repro car``, check that the fast path genuinely engages
+where it should, and exercise mid-round puncturing by dynamic activity.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ REGISTRY = default_registry()
 REPLAYING = ("tdma-cluster", "tdma-smoke", "tt-vn-pipeline")
 
 
-_VOLATILE = ("wall_s", "round_template", "template_cache")
+_VOLATILE = ("wall_s", "round_template")
 
 
 def _comparable(result: dict) -> dict:
@@ -77,28 +77,60 @@ def _run_registry(name: str) -> dict:
     return sim.round_template.stats()
 
 
-def test_quasi_periodic_arms_but_unported_jobs_veto() -> None:
-    """In quasi-periodic mode ET virtual networks and gateways are
-    dynamic participants, not permanent blockers — the gateway pipeline
-    arms.  Its jobs never declare a replayable fingerprint, though, so
-    every boundary is vetoed and every round still runs live."""
+def test_gateway_pipeline_arms_but_unported_jobs_veto() -> None:
+    """ET virtual networks and gateways are fingerprinted participants,
+    not permanent blockers — the gateway pipeline arms.  Its jobs never
+    declare a replayable fingerprint, though, so every boundary is
+    vetoed and every round still runs live."""
     stats = _run_registry("gw-pipeline-smoke")
     assert stats["active"]
-    assert stats["mode"] == "quasi-periodic"
-    assert stats["interleaving_sources"] == []
+    assert "mode" not in stats
     assert stats["replays"] == 0
 
 
-def test_quasi_periodic_flips_car_from_ineligible_to_armed() -> None:
-    """The integrated car carries the same ET/gateway machinery that
-    blocks the strict mode, but its jobs and environment all fingerprint
-    their behavioural state: steady-state detection arms and bulk-replays
-    most of the drive."""
+def test_car_smoke_scenario_arms_and_replays() -> None:
+    """The integrated car carries ET/gateway machinery, but its jobs and
+    environment all fingerprint their behavioural state: steady-state
+    detection arms and bulk-replays most of the drive."""
     stats = _run_registry("car-smoke")
     assert stats["active"]
     assert stats["recordings"] >= 1
     assert stats["replays"] >= 1
     assert stats["rounds_replayed"] > 100
+
+
+def _run_car(round_template: bool) -> tuple[dict, dict]:
+    """One simulated second of the ``repro car`` path."""
+    from repro.apps import CarConfig, build_car
+    from repro.runner.executor import trace_digest
+
+    car = build_car(CarConfig(seed=0, round_template=round_template))
+    sim = car.sim
+    try:
+        sim.run_until(1_000_000_000)
+    finally:
+        sim.trace.close()
+    nav = car.navigator
+    observable = {
+        "digest": trace_digest(sim),
+        "events": sim.events_executed,
+        "now": sim.now,
+        "metrics": sim.metrics.snapshot(),
+        "navigation": (nav.x, nav.y, nav.heading, nav.errors),
+    }
+    return observable, sim.round_template.stats()
+
+
+def test_build_car_replays_rounds_with_identical_results() -> None:
+    """``build_car`` (the ``repro car`` path) arms the same engine as the
+    scenario runner: it replays rounds, and the digest, event count,
+    metrics and navigator estimate equal those of the event-by-event
+    run."""
+    fast, stats = _run_car(round_template=True)
+    slow, _ = _run_car(round_template=False)
+    assert stats["active"]
+    assert stats["rounds_replayed"] > 0
+    assert fast == slow
 
 
 def _run_with_midround_event(spec, fast: bool) -> tuple[dict, dict]:
@@ -161,7 +193,7 @@ def test_fault_injector_punctures_template() -> None:
 
 
 # ----------------------------------------------------------------------
-# quasi-periodic mode: drifting clocks
+# drifting clocks
 # ----------------------------------------------------------------------
 def _drifting_cluster(fast: bool):
     """A TT cluster with one imperfect clock."""
@@ -170,7 +202,7 @@ def _drifting_cluster(fast: bool):
 
     sim = Simulator(seed=11, trace=make_trace("full"))
     if fast:
-        sim.round_template.activate(quasi_periodic=True)
+        sim.round_template.activate()
     builder = ClusterBuilder(sim)
     builder.add_node(NodeConfig("n0", slot_capacity_bytes=32,
                                 reservations={"v": 20}))
@@ -185,12 +217,11 @@ def _drifting_cluster(fast: bool):
 
 
 def test_drifting_clock_cluster_stays_armed_but_runs_live() -> None:
-    """A drifting controller blocks the strict mode outright; the
-    quasi-periodic mode stays armed but the imperfect clock vetoes every
-    boundary (its slot phase never recurs exactly: a 120 ppm rate is
-    25003/25000, so slot-event ns-rounding phases repeat only every
-    25000 cycles), so the cluster runs fully live — and must remain
-    byte-identical to the engine-off run."""
+    """The engine stays armed on a drifting controller, but the
+    imperfect clock vetoes every boundary (its slot phase never recurs
+    exactly: a 120 ppm rate is 25003/25000, so slot-event ns-rounding
+    phases repeat only every 25000 cycles), so the cluster runs fully
+    live — and must remain byte-identical to the engine-off run."""
     from repro.runner.executor import trace_digest
 
     horizon = 1_000_000_000
@@ -210,110 +241,9 @@ def test_drifting_clock_cluster_stays_armed_but_runs_live() -> None:
         if fast:
             stats = sim.round_template.stats()
             assert stats["active"]
-            assert stats["mode"] == "quasi-periodic"
             assert stats["replays"] == 0
             assert stats["recordings"] == 0
     assert results[True] == results[False]
-
-
-# ----------------------------------------------------------------------
-# persistent template bank
-# ----------------------------------------------------------------------
-def _run_engine(name: str, bank: dict | None = None,
-                round_template: bool = True):
-    from repro.runner.executor import trace_digest
-
-    spec = REGISTRY[name].with_param("round_template", round_template)
-    sim = build_scenario(spec)
-    if bank is not None:
-        sim.round_template.load_bank(bank)
-    try:
-        sim.run_until(spec.horizon_ns)
-    finally:
-        sim.trace.close()
-    observable = {
-        "digest": trace_digest(sim),
-        "events": sim.events_executed,
-        "now": sim.now,
-        "metrics": sim.metrics.snapshot(),
-    }
-    return sim, observable
-
-
-def test_persisted_bank_warm_start_is_byte_identical() -> None:
-    """dump_bank -> load_bank across two fresh simulators: the warm run
-    replays from the loaded templates (no re-recording needed for known
-    keys) and stays byte-identical with the cold run."""
-    cold_sim, cold = _run_engine("car-smoke")
-    bank = cold_sim.round_template.dump_bank()
-    assert bank is not None and bank["templates"]
-    warm_sim, warm = _run_engine("car-smoke", bank=bank)
-    stats = warm_sim.round_template.stats()
-    assert stats["templates_loaded"] == len(bank["templates"])
-    assert stats["template_load_failures"] == 0
-    assert stats["rounds_replayed"] >= 1
-    assert warm == cold
-
-
-def test_fault_punctures_persisted_bank_mid_run() -> None:
-    """A fault injector firing mid-run must drop a *loaded* bank exactly
-    like a live-compiled one: replay stops, the fault executes at its
-    exact instant, and the observable run stays identical to the slow
-    path."""
-    cold_sim, _ = _run_engine("fault-babbling-idiot")
-    bank = cold_sim.round_template.dump_bank()
-    assert bank is not None
-    warm_sim, warm = _run_engine("fault-babbling-idiot", bank=bank)
-    stats = warm_sim.round_template.stats()
-    assert stats["templates_loaded"] >= 1
-    assert stats["punctures"] >= 1  # loaded bank dropped at the fault
-    assert stats["replays"] >= 1
-    _, slow = _run_engine("fault-babbling-idiot", round_template=False)
-    assert warm == slow
-
-
-def test_stale_or_corrupt_bank_falls_back_to_live_compile() -> None:
-    """A bank from another engine version, another registration, or a
-    corrupted file must be rejected at validation — counted, never
-    trusted — and the run must land byte-identical anyway."""
-    cold_sim, cold = _run_engine("tdma-smoke")
-    bank = cold_sim.round_template.dump_bank()
-    assert bank is not None
-    stale = dict(bank, version=bank["version"] + 1)
-    mismatched = dict(bank, labels="0" * 16)
-    garbled = dict(bank, templates=[{"oops": 1}])
-    for bad in (stale, mismatched, garbled, "not a bank"):
-        sim, observable = _run_engine("tdma-smoke", bank=bad)
-        stats = sim.round_template.stats()
-        assert stats["templates_loaded"] == 0
-        assert stats["template_load_failures"] == 1
-        assert stats["replays"] >= 1  # live compile still engages
-        assert observable == cold
-
-
-def test_template_store_roundtrip_through_executor(tmp_path) -> None:
-    """run_scenario with a template root: first run stores the bank,
-    second run warm-loads it, digests byte-identical; a truncated store
-    file degrades to a cold run instead of failing."""
-    from repro.runner import TemplateStore, run_scenario
-
-    spec = REGISTRY["tdma-smoke"]
-    first = run_scenario(spec, template_root=str(tmp_path))
-    assert first["template_cache"] == {
-        "hit": False, "stored": True, "templates_loaded": 0,
-        "load_failures": 0}
-    second = run_scenario(spec, template_root=str(tmp_path))
-    assert second["template_cache"]["hit"]
-    assert second["template_cache"]["templates_loaded"] >= 1
-    assert second["digest"] == first["digest"]
-    assert _comparable(second) == _comparable(first)
-
-    store = TemplateStore(tmp_path)
-    (entry,) = store.entries()
-    entry.write_text(entry.read_text()[: entry.stat().st_size // 2])
-    third = run_scenario(spec, template_root=str(tmp_path))
-    assert not third["template_cache"]["hit"]
-    assert third["digest"] == first["digest"]
 
 
 # ----------------------------------------------------------------------

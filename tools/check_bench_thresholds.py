@@ -33,12 +33,10 @@ THRESHOLDS: tuple[tuple[str, tuple[str, ...], float, str], ...] = (
     ("kernel", ("batched_speedup",), 1.2, "min"),
     ("round_template", ("tdma_cluster", "speedup"), 3.0, "min"),
     ("round_template", ("tt_vn_pipeline", "speedup"), 3.0, "min"),
-    # Quasi-periodic mode on the mixed TT/ET car scenario: live-event
-    # punctuation bounds these structurally (see the v2 bench docstring),
-    # so the floors are the measured reality, not a target.
+    # Round templates on the mixed TT/ET car scenario: live-event
+    # punctuation bounds this structurally (see the v2 bench docstring),
+    # so the floor is the measured reality, not a target.
     ("round_template_v2", ("cold_speedup",), 1.3, "min"),
-    ("round_template_v2", ("warm_speedup",), 1.5, "min"),
-    ("round_template_v2", ("warm_load_speedup",), 1.0, "min"),
     ("runtime", ("paced_overhead_x",), 10.0, "max"),
     # Durable provenance must stay effectively free: running the smoke
     # scenarios with the fsync'd ledger enabled may cost at most 5% over
