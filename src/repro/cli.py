@@ -8,6 +8,7 @@ without writing any code:
 * ``roof``       — the Fig. 6 sliding-roof gateway demo (XML-driven).
 * ``audit``      — build the car and print its encapsulation audit.
 * ``inventory``  — print the E10 architecture resource table.
+* ``bench``      — measure the ``BENCH_substrate.json`` sections.
 * ``version``    — print the package version.
 """
 
@@ -200,9 +201,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.pace is not None:
             specs = [spec.with_param("pace", args.pace) for spec in specs]
 
-    if args.bench_compare:
-        return _sweep_bench_compare(args, specs)
-
     monitor = None
     if args.progress or args.events:
         from .runner import SweepMonitor
@@ -241,79 +239,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             result = next(r for r in report["scenarios"] if r["name"] == name)
             print(f"--- {name} failed ---\n{result['error']}", file=sys.stderr)
     return 1 if report["errors"] else 0
-
-
-def _sweep_bench_compare(args: argparse.Namespace, specs) -> int:
-    """Serial-cold vs parallel-cold vs warm-cache comparison, recorded
-    as the ``sweep`` section of BENCH_substrate.json.
-
-    On a single-core host a "parallel" pool can only time-slice one CPU,
-    so the parallel comparison would be noise presented as signal — it
-    is skipped and the section says so, instead of recording a
-    sub-1.0x "speedup" with a straight face.
-    """
-    import json
-    from datetime import datetime, timezone
-
-    from .runner import SweepRunner, provenance, update_bench_json
-
-    cpu_count = os.cpu_count() or 1
-    names = [s.name for s in specs]
-    print(f"bench-compare over {len(specs)} scenarios: {', '.join(names)}")
-    serial = SweepRunner(workers=1, cache_dir=args.cache_dir,
-                         use_cache=False).run(specs)
-    print(f"  serial cold   ({serial['workers']} worker):  {serial['wall_s']:.2f}s")
-    compare_parallel = cpu_count > 1 and args.workers > 1
-    if compare_parallel:
-        parallel = SweepRunner(workers=args.workers, cache_dir=args.cache_dir,
-                               use_cache=False).run(specs)
-        print(f"  parallel cold ({parallel['workers']} workers): "
-              f"{parallel['wall_s']:.2f}s")
-    else:
-        parallel = None
-        print(f"  parallel cold: skipped (cpu_count={cpu_count}, "
-              f"workers={args.workers} — no real parallelism to measure)")
-    warm = SweepRunner(workers=args.workers, cache_dir=args.cache_dir,
-                       use_cache=True).run(specs)
-    print(f"  warm cache    ({warm['workers']} workers): {warm['wall_s']:.2f}s "
-          f"({warm['cache_hits']} hits)")
-
-    reports = [serial, warm] if parallel is None else [serial, parallel, warm]
-    digests = [[r.get("digest") for r in report["scenarios"]]
-               for report in reports]
-    identical = all(d == digests[0] for d in digests)
-    errors = any(report["errors"] for report in reports)
-    cold_s = serial["wall_s"] if parallel is None else parallel["wall_s"]
-
-    section = {
-        "scenarios": names,
-        "cpu_count": cpu_count,
-        "round_template": bool(args.round_template),
-        "serial_s": serial["wall_s"],
-        "parallel_s": None if parallel is None else parallel["wall_s"],
-        "parallel_workers": None if parallel is None else parallel["workers"],
-        "parallel_speedup": None if parallel is None else round(
-            serial["wall_s"] / parallel["wall_s"], 3),
-        "parallel_skipped": parallel is None,
-        "warm_s": warm["wall_s"],
-        "warm_speedup_vs_cold": round(cold_s / warm["wall_s"], 3),
-        "warm_cache_hits": warm["cache_hits"],
-        "digests_identical": identical,
-        "provenance": provenance(
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds")),
-    }
-    update_bench_json(args.bench_out, "sweep", section)
-    if parallel is None:
-        print(f"  warm speedup {section['warm_speedup_vs_cold']}x vs serial "
-              f"cold, digests identical: {identical}")
-    else:
-        print(f"  parallel speedup {section['parallel_speedup']}x, "
-              f"warm speedup {section['warm_speedup_vs_cold']}x, "
-              f"digests identical: {identical}")
-    print(f"  wrote sweep section to {args.bench_out}")
-    if args.json:
-        print(json.dumps(section, indent=2, sort_keys=True))
-    return 1 if (errors or not identical) else 0
 
 
 # ----------------------------------------------------------------------
@@ -440,121 +365,6 @@ def _cmd_obs_compare(args: argparse.Namespace) -> int:
                   f"mean shift {row['mean_shift']:+.1f}, "
                   f"p95 shift {row['p95_shift']}")
     return 0
-
-
-def _cmd_obs_bench_overhead(args: argparse.Namespace) -> int:
-    """Trace-overhead guard: counters mode and counters+flow-tracing must
-    stay within ``--budget``x of the trace-off wall time."""
-    import json
-    import time
-    from datetime import datetime, timezone
-
-    from .apps import CarConfig, build_car
-    from .runner import provenance, update_bench_json
-
-    horizon = int(args.seconds * SEC)
-
-    def measure(label: str, **cfg_kwargs) -> float:
-        best = float("inf")
-        for _ in range(args.repeat):
-            # Event by event in every leg: flow tracing disables round
-            # templates, so replay would otherwise count as trace cost.
-            car = build_car(CarConfig(seed=0, round_template=False,
-                                      **cfg_kwargs))
-            t0 = time.perf_counter()
-            car.run_for(horizon)
-            best = min(best, time.perf_counter() - t0)
-            car.sim.trace.close()
-        print(f"  {label:24s} {best:.3f}s (best of {args.repeat})")
-        return best
-
-    print(f"trace-overhead guard over {args.seconds:g}s of the car:")
-    off = measure("trace off", trace_mode="off")
-    counters = measure("counters", trace_mode="counters")
-    flow = measure("counters + flow", trace_mode="counters", flow_tracing=True)
-
-    counters_x = counters / off
-    flow_x = flow / off
-    ok = counters_x <= args.budget and flow_x <= args.budget
-    section = {
-        "horizon_s": args.seconds,
-        "off_s": round(off, 6),
-        "counters_s": round(counters, 6),
-        "flow_s": round(flow, 6),
-        "counters_overhead_x": round(counters_x, 3),
-        "flow_overhead_x": round(flow_x, 3),
-        "budget_x": args.budget,
-        "within_budget": ok,
-        "provenance": provenance(
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            iterations=args.repeat),
-    }
-    update_bench_json(args.bench_out, "observability", section)
-    print(f"  counters {counters_x:.2f}x, flow {flow_x:.2f}x of trace-off "
-          f"(budget {args.budget:.2f}x) -> {'OK' if ok else 'OVER BUDGET'}")
-    print(f"  wrote observability section to {args.bench_out}")
-    if args.json:
-        print(json.dumps(section, indent=2, sort_keys=True))
-    return 0 if ok else 1
-
-
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    """Paced-runtime overhead guard: the paced dispatch loop (at a high
-    pacing ratio, so sleeping is negligible and the loop itself is what
-    gets measured) must stay within a small factor of the simulated
-    runtime on the same scenario, with byte-identical digests."""
-    import json
-    from datetime import datetime, timezone
-
-    from .runner import default_registry, provenance, run_scenario, update_bench_json
-
-    registry = default_registry()
-    spec = registry.get(args.scenario)
-    if spec is None:
-        print(f"error: unknown scenario {args.scenario!r} "
-              f"(see `repro sweep --list`)", file=sys.stderr)
-        return 2
-
-    def measure(label: str, s):
-        best = None
-        for _ in range(args.repeat):
-            result = run_scenario(s)
-            if best is None or result["wall_s"] < best["wall_s"]:
-                best = result
-        print(f"  {label:24s} {best['wall_s']:.3f}s (best of {args.repeat})")
-        return best
-
-    print(f"runtime-overhead guard over scenario {spec.name!r}:")
-    base = measure("simulated", spec)
-    paced_spec = (spec.with_param("runtime", "realtime")
-                      .with_param("pace", args.pace))
-    paced = measure(f"paced {args.pace:g}x", paced_spec)
-
-    overhead_x = paced["wall_s"] / base["wall_s"] if base["wall_s"] else 1.0
-    digest_match = paced["digest"] == base["digest"]
-    stats = paced.get("runtime_stats", {})
-    section = {
-        "scenario": spec.name,
-        "pace": args.pace,
-        "sim_s": base["wall_s"],
-        "paced_s": paced["wall_s"],
-        "paced_overhead_x": round(overhead_x, 3),
-        "digest_match": digest_match,
-        "deadline_misses": stats.get("deadline_misses"),
-        "max_lag_ms": round(stats.get("max_lag_ns", 0) / MS, 3),
-        "slept_s": round(stats.get("slept_ns", 0) / SEC, 6),
-        "provenance": provenance(
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            iterations=args.repeat),
-    }
-    update_bench_json(args.bench_out, "runtime", section)
-    print(f"  paced overhead {overhead_x:.2f}x vs simulated, "
-          f"digests identical: {digest_match}, "
-          f"deadline misses: {stats.get('deadline_misses')}")
-    print(f"  wrote runtime section to {args.bench_out}")
-    if args.json:
-        print(json.dumps(section, indent=2, sort_keys=True))
-    return 0 if digest_match else 1
 
 
 # ----------------------------------------------------------------------
@@ -741,11 +551,9 @@ def _cmd_ledger_show(args: argparse.Namespace) -> int:
         print("  (no matching entries — run `repro sweep` to record some)")
         return 0
     for e in entries:
-        tpl = e.get("round_template") or {}
         print(f"  {e.get('ts', '?'):25s} {e['name']:28s} "
               f"digest={e['digest'][:12]} code={e.get('code_digest', '?')[:8]} "
-              f"wall={e.get('wall_s', 0):.3f}s runtime={e.get('runtime', 'sim')}"
-              + (f" ff={tpl.get('events_fast_forwarded', 0):,}" if tpl else ""))
+              f"wall={e.get('wall_s', 0):.3f}s runtime={e.get('runtime', 'sim')}")
     return 0
 
 
@@ -814,187 +622,6 @@ def _cmd_ledger_verify(args: argparse.Namespace) -> int:
             print("  (drift is attributed to a code-digest change; "
                   "--strict makes it a failure)")
     return 0 if report["ok"] else 1
-
-
-def _cmd_ledger_bench(args: argparse.Namespace) -> int:
-    """Ledger-overhead guard: running scenarios with the durable ledger
-    enabled must stay within ``--budget``x of running them without it."""
-    import json
-    import tempfile
-    import time
-    from datetime import datetime, timezone
-    from pathlib import Path
-
-    from .ledger import RunLedger, record_from_result
-    from .runner import (
-        code_digest,
-        default_registry,
-        filter_scenarios,
-        provenance,
-        run_scenario,
-        update_bench_json,
-    )
-
-    registry = default_registry()
-    specs = filter_scenarios(registry, [args.filter])
-    if not specs:
-        print(f"error: no scenarios match filter {args.filter!r}",
-              file=sys.stderr)
-        return 2
-    specs = [s.with_param("round_template", False) for s in specs]
-    names = [s.name for s in specs]
-    print(f"ledger-overhead guard over {len(specs)} scenarios: "
-          f"{', '.join(names)}")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        ledger_path = str(Path(tmp) / "bench-ledger.ndjsonl")
-
-        def leg(path: str | None) -> float:
-            t0 = time.perf_counter()
-            for spec in specs:
-                run_scenario(spec, ledger_path=path)
-            return time.perf_counter() - t0
-
-        # Warm-up (imports, first model build), then interleave the two
-        # legs so machine-state drift hits both equally: the measured
-        # ratio isolates the ledger append, not the benchmark's weather.
-        leg(None)
-        off = on = float("inf")
-        for _ in range(args.repeat):
-            off = min(off, leg(None))
-            on = min(on, leg(ledger_path))
-        print(f"  {'ledger off':24s} {off:.3f}s (best of {args.repeat})")
-        print(f"  {'ledger on':24s} {on:.3f}s (best of {args.repeat})")
-
-        # Micro append rate: serialize + O_APPEND + fsync for one record.
-        sample = run_scenario(specs[0])
-        record = record_from_result(specs[0], sample, code_digest())
-        micro = RunLedger(Path(tmp) / "micro.ndjsonl")
-        appends = 64
-        t0 = time.perf_counter()
-        for _ in range(appends):
-            micro.append(record)
-        append_s = (time.perf_counter() - t0) / appends
-
-    overhead_x = on / off if off else 1.0
-    ok = overhead_x <= args.budget
-    section = {
-        "scenarios": names,
-        "off_s": round(off, 6),
-        "on_s": round(on, 6),
-        "append_overhead_x": round(overhead_x, 3),
-        "append_ms": round(append_s * 1e3, 3),
-        "appends_per_s": round(1.0 / append_s, 1) if append_s else None,
-        "budget_x": args.budget,
-        "within_budget": ok,
-        "provenance": provenance(
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            iterations=args.repeat),
-    }
-    update_bench_json(args.bench_out, "ledger", section)
-    print(f"  ledger overhead {overhead_x:.3f}x of ledger-off "
-          f"(budget {args.budget:.2f}x), one fsync'd append "
-          f"{section['append_ms']:.2f}ms -> {'OK' if ok else 'OVER BUDGET'}")
-    print(f"  wrote ledger section to {args.bench_out}")
-    if args.json:
-        print(json.dumps(section, indent=2, sort_keys=True))
-    return 0 if ok else 1
-
-
-def _cmd_campaign_bench(args: argparse.Namespace) -> int:
-    """Campaign throughput guard: cold and warm generated-sweep rates
-    plus the batched-durability overhead vs a persistence-free baseline."""
-    import json
-    import tempfile
-    import time
-    from datetime import datetime, timezone
-    from pathlib import Path
-
-    from .generate import admit, generate_candidates
-    from .runner import SweepRunner, provenance, run_scenario, update_bench_json
-
-    t0 = time.perf_counter()
-    candidates = generate_candidates(args.n, args.profile,
-                                     base_seed=args.base_seed)
-    specs, summary = admit(candidates)
-    admission_s = time.perf_counter() - t0
-    if not specs:
-        print("error: every generated candidate was rejected by admission",
-              file=sys.stderr)
-        return 2
-    print(f"campaign bench: {args.n} candidates (profile={args.profile}), "
-          f"{len(specs)} admitted in {admission_s:.2f}s "
-          f"({summary.rejection_rate:.0%} rejected)")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # Warm-up (imports, first model build), then interleave the two
-        # legs so machine-state drift hits both equally — the measured
-        # ratio isolates the batched durability machinery (result cache
-        # + ledger), not the benchmark weather.  The bare leg runs the
-        # same executions with no result cache and no ledger; every
-        # cached leg repetition gets a fresh directory so it starts
-        # cold.
-        for spec in specs[:8]:
-            run_scenario(spec, ledger_path=None)
-        off_s = cold_s = float("inf")
-        bare: list = []
-        cold: dict = {}
-        for rep in range(args.repeat):
-            t0 = time.perf_counter()
-            bare = [run_scenario(spec) for spec in specs]
-            off_s = min(off_s, time.perf_counter() - t0)
-            runner = SweepRunner(workers=args.workers,
-                                 cache_dir=str(Path(tmp) / f"cache{rep}"))
-            t0 = time.perf_counter()
-            cold = runner.run(specs)
-            cold_s = min(cold_s, time.perf_counter() - t0)
-        print(f"  {'no persistence':24s} {off_s:.3f}s "
-              f"({len(specs) / off_s:.1f} runs/s, best of {args.repeat})")
-        print(f"  {'cold (cache+ledger)':24s} {cold_s:.3f}s "
-              f"({len(specs) / cold_s:.1f} runs/s, best of {args.repeat})")
-        t0 = time.perf_counter()
-        warm = runner.run(specs)
-        warm_s = time.perf_counter() - t0
-        print(f"  {'warm (all cached)':24s} {warm_s:.3f}s "
-              f"({len(specs) / warm_s:.1f} runs/s)")
-        chunk = runner._chunk_size_for(len(specs))
-
-    digests_identical = (
-        [r["digest"] for r in bare]
-        == [r.get("digest") for r in cold["scenarios"]]
-        == [r.get("digest") for r in warm["scenarios"]])
-    overhead_x = cold_s / off_s if off_s else 1.0
-    ok = overhead_x <= args.budget and digests_identical and not cold["errors"]
-    section = {
-        "n_candidates": args.n,
-        "profile": args.profile,
-        "admitted": len(specs),
-        "rejection_rate": round(summary.rejection_rate, 4),
-        "admission_s": round(admission_s, 3),
-        "off_s": round(off_s, 3),
-        "cold_s": round(cold_s, 3),
-        "warm_s": round(warm_s, 3),
-        "cold_runs_per_s": round(len(specs) / cold_s, 2) if cold_s else None,
-        "warm_runs_per_s": round(len(specs) / warm_s, 2) if warm_s else None,
-        "batch_overhead_x": round(overhead_x, 3),
-        "chunk_size": chunk,
-        "workers": args.workers,
-        "digests_identical": digests_identical,
-        "budget_x": args.budget,
-        "within_budget": ok,
-        "provenance": provenance(
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            iterations=args.repeat),
-    }
-    update_bench_json(args.bench_out, "campaign", section)
-    print(f"  durability overhead {overhead_x:.3f}x of persistence-free "
-          f"(budget {args.budget:.2f}x), digests "
-          f"{'identical' if digests_identical else 'DIVERGED'} "
-          f"-> {'OK' if ok else 'FAIL'}")
-    print(f"  wrote campaign section to {args.bench_out}")
-    if args.json:
-        print(json.dumps(section, indent=2, sort_keys=True))
-    return 0 if ok else 1
 
 
 def _cmd_campaign_faults(args: argparse.Namespace) -> int:
@@ -1101,6 +728,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import run
+
+    return run(args.sections, args.out)
+
+
 def _cmd_version(args: argparse.Namespace) -> int:
     from . import __version__
 
@@ -1181,11 +814,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="print the report as JSON instead of a table")
     p_sweep.add_argument("--list", action="store_true",
                          help="list matching scenarios without running")
-    p_sweep.add_argument("--bench-compare", action="store_true",
-                         help="measure serial vs parallel vs warm-cache and "
-                              "record the sweep section of BENCH_substrate.json")
-    p_sweep.add_argument("--bench-out", default="BENCH_substrate.json",
-                         metavar="PATH", help="BENCH file for --bench-compare")
     p_sweep.add_argument("--strict", action="store_true",
                          help="pre-flight every scenario statically and "
                               "refuse the sweep if any has errors")
@@ -1254,43 +882,10 @@ def main(argv: list[str] | None = None) -> int:
     p_lver.add_argument("--json", action="store_true")
     p_lver.set_defaults(func=_cmd_ledger_verify)
 
-    p_lbench = ledger_sub.add_parser(
-        "bench", help="guard: ledger-append overhead vs ledger-off wall time")
-    p_lbench.add_argument("--filter", default="smoke", metavar="EXPR",
-                          help="scenario filter to measure (default: smoke)")
-    p_lbench.add_argument("--repeat", type=int, default=3,
-                          help="best-of-N timing (default: 3)")
-    p_lbench.add_argument("--budget", type=float, default=1.05,
-                          help="max allowed overhead factor (default: 1.05)")
-    p_lbench.add_argument("--bench-out", default="BENCH_substrate.json",
-                          metavar="PATH")
-    p_lbench.add_argument("--json", action="store_true")
-    p_lbench.set_defaults(func=_cmd_ledger_bench)
-
     p_campaign = sub.add_parser(
-        "campaign", help="generated campaigns: throughput bench, fault sweeps")
+        "campaign", help="generated campaigns: Monte-Carlo fault sweeps")
     campaign_sub = p_campaign.add_subparsers(dest="campaign_command",
                                              required=True)
-    p_cbench = campaign_sub.add_parser(
-        "bench", help="guard: campaign throughput (cold/warm runs per "
-                      "second, batched-durability overhead)")
-    p_cbench.add_argument("--n", type=int, default=1000, metavar="N",
-                          help="generated candidates to run (default: 1000)")
-    p_cbench.add_argument("--profile", default="bench",
-                          help="generator profile (default: bench)")
-    p_cbench.add_argument("--base-seed", type=int, default=0)
-    p_cbench.add_argument("--workers", type=int, default=1,
-                          help="sweep worker processes (default: 1)")
-    p_cbench.add_argument("--repeat", type=int, default=3,
-                          help="best-of-N interleaved timing (default: 3)")
-    p_cbench.add_argument("--budget", type=float, default=1.05,
-                          help="max allowed cold-vs-bare overhead factor "
-                               "(default: 1.05)")
-    p_cbench.add_argument("--bench-out", default="BENCH_substrate.json",
-                          metavar="PATH")
-    p_cbench.add_argument("--json", action="store_true")
-    p_cbench.set_defaults(func=_cmd_campaign_bench)
-
     p_cfaults = campaign_sub.add_parser(
         "faults", help="Monte-Carlo fault campaign: survival/containment "
                        "rates per fault kind")
@@ -1302,21 +897,6 @@ def main(argv: list[str] | None = None) -> int:
                            metavar="PATH")
     p_cfaults.add_argument("--json", action="store_true")
     p_cfaults.set_defaults(func=_cmd_campaign_faults)
-
-    p_brt = sub.add_parser(
-        "bench-runtime",
-        help="guard: paced-runtime dispatch overhead vs the simulated runtime")
-    p_brt.add_argument("--scenario", default="car-smoke",
-                       help="registry scenario to measure (default: car-smoke)")
-    p_brt.add_argument("--pace", type=float, default=1e6,
-                       help="pacing ratio for the paced leg; high so the "
-                            "loop, not sleeping, is measured (default: 1e6)")
-    p_brt.add_argument("--repeat", type=int, default=3,
-                       help="best-of-N timing (default: 3)")
-    p_brt.add_argument("--bench-out", default="BENCH_substrate.json",
-                       metavar="PATH")
-    p_brt.add_argument("--json", action="store_true")
-    p_brt.set_defaults(func=_cmd_bench_runtime)
 
     p_check = sub.add_parser(
         "check", help="static verifier: specs, automata, schedules, lint")
@@ -1394,18 +974,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cmp.add_argument("--json", action="store_true")
     p_cmp.set_defaults(func=_cmd_obs_compare)
 
-    p_bench = obs_sub.add_parser(
-        "bench-overhead", help="guard: tracing overhead vs trace-off wall time")
-    p_bench.add_argument("--seconds", type=float, default=2.0)
-    p_bench.add_argument("--repeat", type=int, default=3,
-                         help="best-of-N timing (default: 3)")
-    p_bench.add_argument("--budget", type=float, default=1.5,
-                         help="max allowed overhead factor (default: 1.5)")
-    p_bench.add_argument("--bench-out", default="BENCH_substrate.json",
-                         metavar="PATH")
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=_cmd_obs_bench_overhead)
-
     p_cache = sub.add_parser(
         "cache", help="inspect or empty the sweep result cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
@@ -1426,6 +994,18 @@ def main(argv: list[str] | None = None) -> int:
                           default=DEFAULT_CACHE_MAX_BYTES)
     p_cclear.add_argument("--json", action="store_true")
     p_cclear.set_defaults(func=_cmd_cache)
+
+    p_bench = sub.add_parser(
+        "bench", help="measure BENCH_substrate.json sections "
+                      "(all when none named); gate with "
+                      "tools/check_bench_thresholds.py")
+    p_bench.add_argument("sections", nargs="*", metavar="SECTION",
+                         help="kernel, gateway_pipeline, round_template, "
+                              "round_template_v2, runtime, ledger, campaign, "
+                              "observability, sweep")
+    p_bench.add_argument("--out", default="BENCH_substrate.json", metavar="PATH",
+                         help="BENCH file to merge the sections into")
+    p_bench.set_defaults(func=_cmd_bench)
 
     p_ver = sub.add_parser("version", help="print the package version")
     p_ver.set_defaults(func=_cmd_version)

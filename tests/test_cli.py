@@ -110,6 +110,7 @@ def test_ledger_show_verify_and_trends_cycle(tmp_path, capsys):
     assert main(["ledger", "show", "--cache-dir", str(cache)]) == 0
     out = capsys.readouterr().out
     assert "tdma-smoke" in out and "1 entries" in out
+    assert "ff=" not in out  # round-template stats are in --json only
 
     assert main(["ledger", "verify", "--all", "--strict",
                  "--cache-dir", str(cache)]) == 0

@@ -11,7 +11,7 @@ from repro.core_network import (
     NodeConfig,
 )
 from repro.errors import ConfigurationError
-from repro.sim import LocalClock, Simulator, TraceCategory
+from repro.sim import MS, LocalClock, Simulator, TraceCategory
 
 
 def build_cluster(sim: Simulator, drifts=(0.0, 0.0, 0.0, 0.0), **kw):
@@ -309,3 +309,20 @@ def test_cluster_builder_validation():
         b.add_node(NodeConfig(name="b"), drift_ppm=3.0)
     with pytest.raises(ConfigurationError):
         ClusterBuilder(sim).add_node("a").build().controller("ghost")
+
+
+def test_four_node_cluster_delivers_a_chunk_stream_for_a_second():
+    sim = Simulator()
+    builder = ClusterBuilder(sim)
+    for i in range(4):
+        builder.add_node(NodeConfig(f"n{i}", slot_capacity_bytes=32,
+                                    reservations={"v": 20}))
+    cluster = builder.build()
+    cluster.start()
+    cluster.controller("n0").register_chunk_source(
+        "v", lambda slot, budget: [FrameChunk(vn="v", message="m", data=b"\x01\x02")])
+    got = {"n": 0}
+    cluster.controller("n1").register_receiver(
+        "v", lambda c, t: got.__setitem__("n", got["n"] + 1))
+    sim.run_until(1_000 * MS)
+    assert got["n"] > 1_000

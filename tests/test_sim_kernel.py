@@ -195,3 +195,18 @@ def test_iterate_yields_times():
     sim.at(5, lambda: None)
     sim.at(9, lambda: None)
     assert list(sim.iterate()) == [5, 9]
+
+
+def test_self_rescheduling_chain_runs_fifty_thousand_events():
+    sim = Simulator()
+    count = {"n": 0}
+
+    def tick():
+        count["n"] += 1
+        if count["n"] < 50_000:
+            sim.after(10, tick)
+
+    sim.at(0, tick)
+    sim.run()
+    assert count["n"] == 50_000
+    assert sim.events_executed == 50_000

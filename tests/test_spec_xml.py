@@ -84,6 +84,15 @@ def test_fig6_canonical_parses_and_is_consistent():
     assert mt.element("MovementEvent").semantics is Semantics.EVENT
 
 
+def test_fig6_message_survives_repeated_codec_round_trips():
+    mt = parse_link_spec(FIG6_CANONICAL).message_types()["msgSlidingRoof"]
+    inst = mt.instance(MovementEvent={"ValueChange": 5, "EventTime": 123})
+    total = 0
+    for _ in range(2000):
+        total += mt.decode(mt.encode(inst)).get("MovementEvent", "ValueChange")
+    assert total == 10_000
+
+
 def test_fig6_canonical_automaton_detects_timing_failures():
     link = parse_link_spec(FIG6_CANONICAL)
     auto = link.automaton("msgSlidingRoofReception")

@@ -66,6 +66,33 @@ def test_tt_vn_delivers_sampled_state():
     assert vn.chunks_sent == vn.dispatches
 
 
+def test_tt_vn_pipeline_delivers_every_cycle_for_a_second():
+    from repro.core_network import ClusterBuilder, NodeConfig
+    from repro.messaging import ElementDef, FieldDef, IntType, MessageType, Semantics
+
+    sim = Simulator()
+    builder = ClusterBuilder(sim)
+    for name in ("a", "b"):
+        builder.add_node(NodeConfig(name, slot_capacity_bytes=48,
+                                    reservations={"das": 30}))
+    cluster = builder.build()
+    cluster.start()
+    mt = MessageType("m", elements=(
+        ElementDef("D", convertible=True, semantics=Semantics.STATE,
+                   fields=(FieldDef("v", IntType(32)),)),
+    ))
+    ns = Namespace("das")
+    ns.register(mt)
+    vn = TTVirtualNetwork(sim, "das", cluster, ns)
+    got = {"n": 0}
+    vn.attach_gateway_producer("m", "a", provider=lambda: mt.instance(D={"v": got["n"]}))
+    vn.set_timing("m", TTTiming(period=cluster.schedule.cycle_length))
+    vn.tap("m", "b", lambda m, i, t: got.__setitem__("n", got["n"] + 1))
+    vn.start()
+    sim.run_until(1_000 * MS)
+    assert got["n"] > 1_000
+
+
 def test_tt_vn_latency_deterministic():
     """C1 at the VN level: sampling instant -> delivery latency is the
     same for every dispatch (zero jitter)."""
