@@ -674,8 +674,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     from .runner.cache import CheckCache, ResultCache
 
-    cache = ResultCache(args.cache_dir, max_bytes=args.max_bytes)
-    checks = CheckCache(args.cache_dir, max_bytes=args.max_bytes)
+    cache = ResultCache(args.cache_dir)
+    checks = CheckCache(args.cache_dir)
     if args.cache_command == "clear":
         removed = cache.clear()
         removed_chk = checks.clear()
@@ -691,8 +691,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         "entries": sum(s["entries"] for s in parts),
         "total_bytes": sum(s["total_bytes"] for s in parts),
         "evictions": sum(s["evictions"] for s in parts),
-        "check_hits": stats["checks"].get("hits", 0),
-        "check_misses": stats["checks"].get("misses", 0),
+        "check_hits": stats["checks"]["hits"],
+        "check_misses": stats["checks"]["misses"],
         "scenarios": len(set().union(*(s["scenarios"] for s in parts))),
     }
     if args.json:
@@ -707,12 +707,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               + (f", {s['hits']} hit{'' if s['hits'] == 1 else 's'} / "
                  f"{s['misses']} miss{'' if s['misses'] == 1 else 'es'}"
                  if "hits" in s else ""))
-        shown = list(s["scenarios"].items())
+        shown = list(s["scenarios"])
         omitted = len(shown) - 12
         if omitted > 1:  # campaigns: don't print a thousand lines
             shown = shown[:12]
-        for name, count in shown:
-            print(f"  {name:28s} {count} entr{'y' if count == 1 else 'ies'}")
+        for name in shown:
+            print(f"  {name}")
         if omitted > 1:
             print(f"  ... and {omitted} more scenarios")
         if s["oldest"]:
@@ -977,22 +977,15 @@ def main(argv: list[str] | None = None) -> int:
     p_cache = sub.add_parser(
         "cache", help="inspect or empty the sweep result cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    from .runner.cache import DEFAULT_CACHE_MAX_BYTES
 
     p_cstats = cache_sub.add_parser("stats", help="cache size and contents")
     p_cstats.add_argument("--cache-dir", default=".repro_cache", metavar="PATH")
-    p_cstats.add_argument("--max-bytes", type=int,
-                          default=DEFAULT_CACHE_MAX_BYTES,
-                          help="size cap shown in the report")
     p_cstats.add_argument("--json", action="store_true")
     p_cstats.set_defaults(func=_cmd_cache)
 
     p_cclear = cache_sub.add_parser(
         "clear", help="delete every cache entry (results and check reports)")
     p_cclear.add_argument("--cache-dir", default=".repro_cache", metavar="PATH")
-    p_cclear.add_argument("--max-bytes", type=int,
-                          default=DEFAULT_CACHE_MAX_BYTES)
-    p_cclear.add_argument("--json", action="store_true")
     p_cclear.set_defaults(func=_cmd_cache)
 
     p_bench = sub.add_parser(

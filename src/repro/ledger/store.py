@@ -52,8 +52,10 @@ DEFAULT_LEDGER_KEEP = 2
 
 
 def spec_digest(spec_dict: dict) -> str:
-    """Digest of a scenario spec's canonical JSON form (24 hex chars,
-    the same width as cache keys)."""
+    """Digest of a scenario spec's canonical JSON form (24 hex chars).
+
+    Cache keys hash through it too (a spec plus code digest), so the
+    ledger and the caches hash a spec the same way."""
     payload = json.dumps(spec_dict, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -100,12 +102,10 @@ class RunLedger:
 
     def __init__(self, path: str | Path,
                  max_bytes: int = DEFAULT_LEDGER_MAX_BYTES,
-                 keep: int = DEFAULT_LEDGER_KEEP,
-                 fsync: bool = True) -> None:
+                 keep: int = DEFAULT_LEDGER_KEEP) -> None:
         self.path = Path(path)
         self.max_bytes = max_bytes
         self.keep = keep
-        self.fsync = fsync
         #: unparseable lines skipped by the last :meth:`entries` call
         self.skipped_lines = 0
 
@@ -143,8 +143,7 @@ class RunLedger:
         fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
             os.write(fd, lines.encode())
-            if self.fsync:
-                os.fsync(fd)
+            os.fsync(fd)
         finally:
             os.close(fd)
 

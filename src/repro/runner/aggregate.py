@@ -1,7 +1,7 @@
 """Fleet-wide observability: aggregate and compare sweep results.
 
 The sweep engine ships one JSON result per scenario (metrics snapshot,
-trace digest, optional flow summary) into ``.repro_cache/``; this module
+trace digest, optional flow summary) into its result cache; this module
 rolls a whole sweep up into one view and diffs two views:
 
 * :func:`load_cached_results` — read every cached result in a cache
@@ -21,11 +21,11 @@ Everything is pure data → data; the CLI wiring lives in ``repro obs``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..sim import Metrics
 from ..sim.metrics import Histogram
+from .cache import ResultCache
 
 __all__ = [
     "aggregate_results",
@@ -42,19 +42,8 @@ def load_cached_results(cache_dir: str | Path = ".repro_cache",
     ``names`` filters to specific scenarios; corrupt or foreign JSON
     files are skipped (the cache directory is safe to pollute).
     """
-    root = Path(cache_dir)
-    out = []
-    for path in sorted(root.glob("*.json")) if root.is_dir() else []:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        result = payload.get("result") if isinstance(payload, dict) else None
-        if not isinstance(result, dict) or "name" not in result:
-            continue
-        if names is not None and result["name"] not in names:
-            continue
-        out.append(result)
+    out = [r for r in ResultCache(cache_dir).values()
+           if "name" in r and (names is None or r["name"] in names)]
     out.sort(key=lambda r: r["name"])
     return out
 

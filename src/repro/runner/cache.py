@@ -1,12 +1,17 @@
-"""Digest-keyed result cache for scenario sweeps.
+"""Digest-keyed result and check-report caches for scenario sweeps.
 
-A cached entry is keyed by ``sha256(spec JSON + code digest)``: the
-scenario's full specification plus a digest over every ``.py`` file in
-the ``repro`` package.  Editing any source file, or any field of the
-spec, therefore invalidates exactly the runs whose results could have
-changed — a warm re-sweep only re-executes what moved.  The cache is a
-directory of small JSON files (default ``.repro_cache/``), one per
-scenario, safe to delete wholesale at any time.
+An entry is keyed by a digest of the scenario's full specification plus
+a digest over every ``.py`` file in the ``repro`` package.  Editing any
+source file, or any field of the spec, therefore invalidates exactly the
+runs whose results could have changed — a warm re-sweep only re-executes
+what moved.
+
+Like a state message, an entry is updated in place: only the newest
+value counts.  Each store is one directory,
+``<cache_dir>/<kind>-v<CACHE_FORMAT>/``, holding one ``<scenario>.json``
+per scenario with its key stored inside.  A put overwrites that file and
+a read whose key differs is a miss.  Everything under the cache
+directory is safe to delete at any time.
 """
 
 from __future__ import annotations
@@ -15,13 +20,18 @@ import hashlib
 import json
 from pathlib import Path
 
+from ..ledger.store import spec_digest
 from .scenarios import ScenarioSpec
 
 __all__ = ["CheckCache", "ResultCache", "check_key", "code_digest",
            "result_key"]
 
-#: bump to invalidate every existing cache entry on format changes
-CACHE_FORMAT = 2
+#: bump to invalidate every existing cache entry on format changes (it
+#: names the store directories, so older entries are never read)
+CACHE_FORMAT = 3
+
+#: Size cap of one store directory (see ``_Store``).
+DEFAULT_CACHE_MAX_BYTES = 64 * 1024 * 1024
 
 
 def _file_sha(path: Path) -> str:
@@ -41,13 +51,14 @@ def code_digest(roots: tuple[Path, ...] | None = None) -> str:
     return h.hexdigest()
 
 
+def _key(kind: str, spec: ScenarioSpec, code: str) -> str:
+    return spec_digest({"format": CACHE_FORMAT, "kind": kind,
+                        "spec": spec.as_dict(), "code": code})
+
+
 def result_key(spec: ScenarioSpec, code: str) -> str:
     """Cache key for one scenario under one code state."""
-    payload = json.dumps(
-        {"format": CACHE_FORMAT, "spec": spec.as_dict(), "code": code},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    return _key("results", spec, code)
 
 
 def check_key(spec: ScenarioSpec, code: str) -> str:
@@ -60,324 +71,172 @@ def check_key(spec: ScenarioSpec, code: str) -> str:
     static check re-run costs milliseconds while a stale verdict could
     admit a broken configuration to a thousand-scenario sweep.
     """
-    payload = json.dumps(
-        {"format": CACHE_FORMAT, "kind": "checks",
-         "spec": spec.as_dict(), "code": code},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+    return _key("checks", spec, code)
 
 
-#: Default size cap for a cache directory (see ResultCache.max_bytes).
-DEFAULT_CACHE_MAX_BYTES = 64 * 1024 * 1024
+class _Store:
+    """One JSON file per scenario under ``<cache_dir>/<kind>-v<format>/``.
 
-
-class _DirCache:
-    """Shared machinery for a digest-keyed directory of JSON entries.
-
-    Files are named ``<scenario>-<key>.json``; a ``put`` removes stale
-    entries of the same scenario (older code states) so the directory
-    never grows beyond one file per scenario.  On top of that, a size
-    cap (``max_bytes``) evicts the oldest entries — by file mtime, i.e.
-    least-recently-written digest first — so a long-lived checkout
-    accumulating many scenario names still cannot grow unboundedly.
-    Evictions are tallied in a ``_meta.json`` sidecar (never itself an
-    entry) so ``repro cache stats`` can report them across processes.
+    A size cap (``max_bytes``) evicts the oldest-written entries first,
+    never the one just written, so a long-lived checkout accumulating
+    many scenario names cannot grow unboundedly.  The :attr:`counters`
+    that must outlive a process live in a ``_meta.json`` beside the
+    entries.
     """
 
-    def __init__(self, root: str | Path = ".repro_cache",
+    kind = ""
+    #: payload field holding the stored value, and the value's type
+    field = ""
+    value_type: type = dict
+    counters: tuple[str, ...] = ("evictions",)
+
+    def __init__(self, cache_dir: str | Path = ".repro_cache",
                  max_bytes: int = DEFAULT_CACHE_MAX_BYTES) -> None:
-        self.root = Path(root)
+        self.root = Path(cache_dir) / f"{self.kind}-v{CACHE_FORMAT}"
         self.max_bytes = max_bytes
-        # In-instance incremental index (filename -> byte size, oldest
-        # first): loaded with one directory scan on the first write,
-        # then maintained across puts, so storing N entries costs O(N)
-        # instead of the O(N^2) a per-put rescan gives at campaign
-        # scale.  Advisory only — other processes mutating the directory
-        # at worst skew eviction order, never correctness.
-        self._index: dict[str, int] | None = None
-        self._index_total = 0
-        self._by_scenario: dict[str, str] = {}
+        self._meta = self.root / "_meta.json"
+        # Entry name -> byte size, oldest-written first: one directory
+        # scan on the first put, then maintained, so N puts cost O(N).
+        # Advisory only — another process writing the same store at
+        # worst skews eviction order, never correctness.
+        self._sizes: dict[str, int] | None = None
+        self._total = 0
 
-    def path_for(self, spec: ScenarioSpec, key: str) -> Path:
-        return self.root / f"{spec.name}-{key}.json"
+    def path_for(self, spec: ScenarioSpec) -> Path:
+        return self.root / f"{spec.name}.json"
 
-    @staticmethod
-    def _scenario_of(filename: str) -> str | None:
-        """Scenario name encoded in ``<scenario>-<24 hex>.json``, or
-        ``None`` for files not following the entry naming scheme."""
-        stem = filename[:-5] if filename.endswith(".json") else filename
-        if len(stem) > 25 and stem[-25] == "-" and "-" not in stem[-24:]:
-            return stem[:-25]
-        return None
+    def entries(self) -> list[Path]:
+        """Every entry file, oldest-written first."""
+        if not self.root.is_dir():
+            return []
+        return sorted((p for p in self.root.glob("*.json")
+                       if p != self._meta),
+                      key=lambda p: (p.stat().st_mtime, p.name))
 
-    # -- eviction bookkeeping ------------------------------------------
-    @property
-    def _meta_path(self) -> Path:
-        return self.root / "_meta.json"
-
-    def eviction_count(self) -> int:
-        try:
-            meta = json.loads(self._meta_path.read_text())
-            return int(meta.get("evictions", 0))
-        except (OSError, ValueError, TypeError):
-            return 0
-
-    def _count_evictions(self, n: int) -> None:
-        if n <= 0:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._meta_path.write_text(json.dumps(
-            {"evictions": self.eviction_count() + n}) + "\n")
-
-    # -- entry lifecycle -----------------------------------------------
-    def _read(self, spec: ScenarioSpec, key: str) -> dict | None:
-        """The entry payload for ``key``, or ``None`` on miss/corruption."""
-        path = self.path_for(spec, key)
+    def _load(self, path: Path, key: str | None = None):
+        """The value stored in ``path``, or ``None`` when the file is
+        unreadable, foreign, or (given ``key``) holds another key."""
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict) or payload.get("key") != key:
+        if not isinstance(payload, dict) or (
+                key is not None and payload.get("key") != key):
             return None
-        return payload
+        value = payload.get(self.field)
+        return value if isinstance(value, self.value_type) else None
 
-    def _load_index(self) -> None:
-        """One-time directory scan seeding the incremental index."""
-        if self._index is not None:
-            return
-        self._index = {}
-        self._index_total = 0
-        self._by_scenario = {}
-        for path in self.entries():
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            self._index[path.name] = size
-            self._index_total += size
-            scenario = self._scenario_of(path.name)
-            if scenario is not None:
-                self._by_scenario[scenario] = path.name
+    def values(self) -> list:
+        """Every readable stored value, whatever its key."""
+        return [v for v in map(self._load, self.entries()) if v is not None]
 
-    def _drop_index(self) -> None:
-        """Forget the index after an out-of-band directory mutation."""
-        self._index = None
-        self._index_total = 0
-        self._by_scenario = {}
-
-    def _write(self, spec: ScenarioSpec, key: str, payload: dict) -> Path:
-        return self.put_entries([(spec, key, payload)])[0]
-
-    def put_entries(self, items: list[tuple[ScenarioSpec, str, dict]]) -> list[Path]:
-        """Store a batch of entries with O(1)-amortized bookkeeping.
-
-        Stale same-scenario entries (older code states) are reaped via
-        the index instead of a directory glob, and the size-cap
-        eviction walks the index's oldest end instead of re-stat-ing
-        every file.  The end state matches the equivalent sequence of
-        single ``put`` calls exactly: the newest entry is never
-        evicted, older batch entries are fair game once the cap is hit.
-        """
-        self._load_index()
-        assert self._index is not None
+    def _put(self, items: list[tuple[ScenarioSpec, str, object]]) -> list[Path]:
+        """Write each ``(spec, key, value)`` over its scenario's file,
+        then evict to the cap sparing the last one written."""
+        if self._sizes is None:
+            self._sizes = {p.name: p.stat().st_size for p in self.entries()}
+            self._total = sum(self._sizes.values())
         self.root.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        for spec, key, payload in items:
-            filename = f"{spec.name}-{key}.json"
-            stale = self._by_scenario.get(spec.name)
-            # Only reap true older keys of THIS scenario, never entries
-            # of another scenario whose name shares the prefix (the
-            # index maps exact scenario names, so that holds by
-            # construction).
-            if stale is not None and stale != filename:
-                (self.root / stale).unlink(missing_ok=True)
-                self._index_total -= self._index.pop(stale, 0)
-            data = json.dumps(dict(payload, key=key), indent=2,
-                              sort_keys=True) + "\n"
-            path = self.root / filename
+        written = []
+        for spec, key, value in items:
+            path = self.path_for(spec)
+            data = json.dumps({"key": key, "spec": spec.as_dict(),
+                               self.field: value},
+                              indent=2, sort_keys=True) + "\n"
             path.write_text(data)
-            size = len(data.encode())
             # re-insert at the newest end of the (insertion-ordered) index
-            self._index_total -= self._index.pop(filename, 0)
-            self._index[filename] = size
-            self._index_total += size
-            self._by_scenario[spec.name] = filename
+            self._total -= self._sizes.pop(path.name, 0)
+            self._sizes[path.name] = len(data.encode())
+            self._total += self._sizes[path.name]
             written.append(path)
-        self._evict_indexed(
-            protect={written[-1].name} if written else set())
+        evicted = 0
+        for name in list(self._sizes):
+            if self._total <= self.max_bytes:
+                break
+            if written and name == written[-1].name:
+                continue
+            (self.root / name).unlink(missing_ok=True)
+            self._total -= self._sizes.pop(name)
+            evicted += 1
+        if evicted:
+            self._bump("evictions", evicted)
         return written
 
-    def _evict_indexed(self, protect: set[str]) -> int:
-        """Evict oldest indexed entries until the total fits the cap."""
-        assert self._index is not None
-        if self.max_bytes is None or self.max_bytes <= 0:
-            return 0
-        removed = 0
-        for filename in list(self._index):
-            if self._index_total <= self.max_bytes:
-                break
-            if filename in protect:
-                continue
-            (self.root / filename).unlink(missing_ok=True)
-            self._index_total -= self._index.pop(filename)
-            scenario = self._scenario_of(filename)
-            if scenario is not None and self._by_scenario.get(scenario) == filename:
-                del self._by_scenario[scenario]
-            removed += 1
-        self._count_evictions(removed)
-        return removed
+    def _counts(self) -> dict[str, int]:
+        try:
+            meta = json.loads(self._meta.read_text())
+            return {c: int(meta.get(c, 0)) for c in self.counters}
+        except (OSError, ValueError, TypeError, AttributeError):
+            return dict.fromkeys(self.counters, 0)
+
+    def _bump(self, counter: str, n: int = 1) -> None:
+        counts = self._counts()
+        counts[counter] += n
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._meta.write_text(json.dumps(counts) + "\n")
 
     def clear(self) -> int:
-        """Delete every entry (and the meta sidecar); returns how many
-        entry files were removed."""
-        n = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                if path.name == "_meta.json":
-                    path.unlink(missing_ok=True)
-                    continue
-                path.unlink(missing_ok=True)
-                n += 1
-        self._drop_index()
-        return n
-
-    def entries(self) -> list[Path]:
-        """Every cache file, oldest (by mtime) first."""
-        if not self.root.is_dir():
-            return []
-        return sorted((p for p in self.root.glob("*.json")
-                       if p.name != "_meta.json"),
-                      key=lambda p: (p.stat().st_mtime, p.name))
-
-    def evict_to_cap(self, keep: Path | None = None) -> int:
-        """Evict oldest entries until the directory fits ``max_bytes``;
-        returns how many files were removed.  ``keep`` (the entry just
-        written) is never evicted, even if it alone exceeds the cap."""
-        if self.max_bytes is None or self.max_bytes <= 0:
-            return 0
-        entries = [(p, p.stat().st_size) for p in self.entries()]
-        total = sum(size for _, size in entries)
-        removed = 0
-        for path, size in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path == keep:
-                continue
+        """Delete every entry and the counters; returns how many entry
+        files were removed."""
+        entries = self.entries()
+        for path in entries:
             path.unlink(missing_ok=True)
-            total -= size
-            removed += 1
-        self._count_evictions(removed)
-        if removed:
-            self._drop_index()
-        return removed
+        self._meta.unlink(missing_ok=True)
+        self._sizes = None
+        return len(entries)
 
     def stats(self) -> dict:
-        """JSON-ready summary of the cache directory."""
+        """JSON-ready summary of the store directory."""
         entries = self.entries()
-        sizes = [p.stat().st_size for p in entries]
-        per_scenario: dict[str, int] = {}
-        for p in entries:
-            # <scenario>-<24 hex chars>.json
-            name = p.stem[:-25] if len(p.stem) > 25 else p.stem
-            per_scenario[name] = per_scenario.get(name, 0) + 1
         return {
             "root": str(self.root),
             "entries": len(entries),
-            "total_bytes": sum(sizes),
+            "total_bytes": sum(p.stat().st_size for p in entries),
             "max_bytes": self.max_bytes,
-            "evictions": self.eviction_count(),
-            "scenarios": dict(sorted(per_scenario.items())),
+            **self._counts(),
+            "scenarios": dict.fromkeys(sorted(p.stem for p in entries), 1),
             "oldest": entries[0].name if entries else None,
             "newest": entries[-1].name if entries else None,
         }
 
 
-class ResultCache(_DirCache):
-    """One JSON result file per scenario under ``root``."""
+class ResultCache(_Store):
+    """Sweep results, one ``<scenario>.json`` each."""
+
+    kind, field, value_type = "results", "result", dict
 
     def get(self, spec: ScenarioSpec, key: str) -> dict | None:
         """The cached result payload, or ``None`` on miss/corruption."""
-        payload = self._read(spec, key)
-        if payload is None:
-            return None
-        result = payload.get("result")
-        return result if isinstance(result, dict) else None
+        return self._load(self.path_for(spec), key)
 
     def put(self, spec: ScenarioSpec, key: str, result: dict) -> Path:
-        return self._write(spec, key, {"spec": spec.as_dict(),
-                                       "result": result})
+        return self._put([(spec, key, result)])[0]
 
     def put_many(self, items: list[tuple[ScenarioSpec, str, dict]]) -> list[Path]:
-        """Batch store: one index pass and one eviction sweep for the
+        """Batch store: one index load and one eviction sweep for the
         whole chunk (the sweep runner's campaign write path)."""
-        return self.put_entries([
-            (spec, key, {"spec": spec.as_dict(), "result": result})
-            for spec, key, result in items
-        ])
+        return self._put(items)
 
 
-class CheckCache(_DirCache):
-    """Persistent static-check reports, one file per scenario, under
-    ``<cache root>/checks/`` (the incremental ``repro check`` path).
+class CheckCache(_Store):
+    """Static-check reports (the incremental ``repro check`` path).
 
-    The payload is the serialized diagnostic list of one
-    ``check_scenario`` run.  Hits and misses are tallied in a
-    ``_stats.json`` sidecar so a later ``repro cache stats`` invocation
-    (a different process) can report whether the warm path actually
+    The stored value is the serialized diagnostic list of one
+    ``check_scenario`` run.  Hits and misses are counted in
+    ``_meta.json`` so a later ``repro cache stats`` invocation (a
+    different process) can report whether the warm path actually
     engaged.
     """
 
-    def __init__(self, root: str | Path = ".repro_cache",
-                 max_bytes: int = DEFAULT_CACHE_MAX_BYTES) -> None:
-        super().__init__(Path(root) / "checks", max_bytes=max_bytes)
-
-    @property
-    def _stats_path(self) -> Path:
-        return self.root / "_stats.json"
-
-    def _tallies(self) -> dict:
-        try:
-            data = json.loads(self._stats_path.read_text())
-            if isinstance(data, dict):
-                return {"hits": int(data.get("hits", 0)),
-                        "misses": int(data.get("misses", 0))}
-        except (OSError, ValueError, TypeError):
-            pass
-        return {"hits": 0, "misses": 0}
-
-    def _tally(self, field: str) -> None:
-        tallies = self._tallies()
-        tallies[field] += 1
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._stats_path.write_text(json.dumps(tallies) + "\n")
+    kind, field, value_type = "checks", "report", list
+    counters = ("evictions", "hits", "misses")
 
     def get(self, spec: ScenarioSpec, key: str) -> list[dict] | None:
         """The cached diagnostic dicts, or ``None`` on miss/corruption."""
-        payload = self._read(spec, key)
-        if payload is not None:
-            report = payload.get("report")
-            if isinstance(report, list):
-                self._tally("hits")
-                return report
-        self._tally("misses")
-        return None
+        report = self._load(self.path_for(spec), key)
+        self._bump("misses" if report is None else "hits")
+        return report
 
     def put(self, spec: ScenarioSpec, key: str,
             report: list[dict]) -> Path:
-        return self._write(spec, key, {"spec": spec.as_dict(),
-                                       "report": report})
-
-    def clear(self) -> int:
-        # The tally sidecar goes first so the base sweep does not count
-        # it as an evicted entry.
-        self._stats_path.unlink(missing_ok=True)
-        return super().clear()
-
-    def entries(self) -> list[Path]:
-        return [p for p in super().entries() if p.name != "_stats.json"]
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out.update(self._tallies())
-        return out
+        return self._put([(spec, key, report)])[0]

@@ -117,12 +117,6 @@ def _execute_scenario(spec: ScenarioSpec) -> dict:
     return result
 
 
-def _pool_worker(spec: ScenarioSpec,
-                 ledger_path: str | None = None) -> dict:
-    """Top-level pool entry point; never raises across the pipe."""
-    return _pool_worker_chunk([spec], ledger_path)[0]
-
-
 def _pool_worker_chunk(specs: list[ScenarioSpec],
                        ledger_path: str | None = None) -> list[dict]:
     """Execute a chunk of scenarios in one task; never raises.

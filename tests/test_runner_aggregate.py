@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.runner import (
+    ResultCache,
     aggregate_results,
     compare_snapshots,
     load_cached_results,
@@ -26,20 +27,31 @@ def _result(name: str, counters: dict, flows: dict | None = None,
     return out
 
 
-def _write(cache, name, result):
-    (cache / f"{name}-abc123.json").write_text(
+def _write(root, name, result):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / f"{name}.json").write_text(
         json.dumps({"key": "abc123", "spec": {}, "result": result}))
 
 
 def test_load_cached_results_skips_foreign_files(tmp_path):
-    _write(tmp_path, "b", _result("b", {"x": 1}))
-    _write(tmp_path, "a", _result("a", {"x": 2}))
-    (tmp_path / "junk.json").write_text("not json at all")
-    (tmp_path / "other.json").write_text('{"no": "result"}')
+    root = ResultCache(tmp_path).root
+    _write(root, "b", _result("b", {"x": 1}))
+    _write(root, "a", _result("a", {"x": 2}))
+    (root / "junk.json").write_text("not json at all")
+    (root / "other.json").write_text('{"no": "result"}')
     results = load_cached_results(tmp_path)
     assert [r["name"] for r in results] == ["a", "b"]  # sorted, junk skipped
     only_a = load_cached_results(tmp_path, names=["a"])
     assert [r["name"] for r in only_a] == ["a"]
+
+
+def test_load_cached_results_ignores_old_layout_entries(tmp_path):
+    # An upgraded cache directory still holds root-level entries in the
+    # old ``<name>-<24 hex>.json`` layout; each scenario counts once.
+    _write(ResultCache(tmp_path).root, "a", _result("a", {"x": 2}))
+    (tmp_path / f"a-{'0' * 24}.json").write_text(json.dumps(
+        {"key": "0" * 24, "spec": {}, "result": _result("a", {"x": 1})}))
+    assert [r["name"] for r in load_cached_results(tmp_path)] == ["a"]
 
 
 def test_load_cached_results_missing_dir(tmp_path):

@@ -110,7 +110,7 @@ def test_cache_roundtrip_and_stale_key_reaping(tmp_path):
     assert cache.get(spec, new_key) is None  # code changed -> miss
     cache.put(spec, new_key, {"digest": "bb"})
     assert cache.get(spec, old_key) is None  # stale entry reaped
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    assert len(list(cache.root.glob("*.json"))) == 1
     assert cache.clear() == 1
 
 
@@ -126,7 +126,7 @@ def test_cache_put_many_batches_and_reaps_stale_keys(tmp_path):
     assert all(cache.get(s, result_key(s, "old")) is None for s in specs)
     assert all(cache.get(s, result_key(s, "new"))["digest"] == f"new{i}"
                for i, s in enumerate(specs))
-    assert len(list((tmp_path / "cache").glob("*.json"))) == len(specs)
+    assert len(list(cache.root.glob("*.json"))) == len(specs)
 
 
 def test_cache_put_many_evicts_to_cap_incrementally(tmp_path):
@@ -141,9 +141,11 @@ def test_cache_put_many_evicts_to_cap_incrementally(tmp_path):
     assert cache.get(specs[-1], result_key(specs[-1], "c")) is not None
     assert cache.get(specs[0], result_key(specs[0], "c")) is None
     # the on-disk reality agrees with the incremental index
-    on_disk = sum(p.stat().st_size
-                  for p in (tmp_path / "cache").glob("*.json"))
+    on_disk = sum(p.stat().st_size for p in cache.root.glob("*.json"))
     assert on_disk <= 2048
+    # the eviction count outlives the instance
+    again = ResultCache(tmp_path / "cache", max_bytes=2048)
+    assert again.stats()["evictions"] == stats["evictions"]
 
 
 def test_cache_put_many_matches_serial_puts(tmp_path):
@@ -163,8 +165,8 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     cache = ResultCache(tmp_path)
     spec = tiny_spec()
     key = result_key(spec, "c")
-    cache.path_for(spec, key).parent.mkdir(parents=True, exist_ok=True)
-    cache.path_for(spec, key).write_text("{not json")
+    cache.path_for(spec).parent.mkdir(parents=True, exist_ok=True)
+    cache.path_for(spec).write_text("{not json")
     assert cache.get(spec, key) is None
 
 
